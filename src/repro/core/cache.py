@@ -25,7 +25,7 @@ adds answers.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.core.metrics import QueryResult
@@ -35,6 +35,7 @@ from repro.graph.labeled_graph import Graph
 from repro.matching.base import SubgraphMatcher
 from repro.matching.plan import QueryPlan
 from repro.matching.vf2 import VF2Matcher
+from repro.utils.bitset import pack_bits
 from repro.utils.timing import Deadline, Timer
 
 __all__ = ["CacheStats", "CachingPipeline", "DatabaseView"]
@@ -44,8 +45,8 @@ class DatabaseView:
     """A read-only view of a database restricted to a subset of ids.
 
     Implements the protocol the pipelines consume (``items``, ``ids``,
-    ``__getitem__``, ``__contains__``, ``__len__``, ``__iter__``), keeping
-    the parent's graph ids stable.
+    ``seed_screen``, ``__getitem__``, ``__contains__``, ``__len__``,
+    ``__iter__``), keeping the parent's graph ids stable.
     """
 
     def __init__(self, parent: GraphDatabase, ids: set[int]) -> None:
@@ -77,6 +78,10 @@ class DatabaseView:
 
     def graphs(self) -> list[Graph]:
         return [self._parent[gid] for gid in self._ids]
+
+    def seed_screen(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """The parent's seed screen restricted to this view's ids."""
+        return self._parent.seed_screen(pairs) & pack_bits(self._ids)
 
 
 @dataclass

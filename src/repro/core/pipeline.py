@@ -19,8 +19,8 @@ vertex sets counts as *filtering* time; ordering plus enumeration count as
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
+from time import perf_counter
 
 from repro.core.metrics import QueryFailure, QueryResult
 from repro.exec import faults
@@ -30,6 +30,7 @@ from repro.index.base import GraphIndex
 from repro.matching.base import PreprocessingMatcher, SubgraphMatcher
 from repro.matching.enumeration import enumerate_embeddings
 from repro.matching.plan import QueryPlan, compile_plan
+from repro.utils.bitset import iter_bits
 from repro.utils.errors import (
     ConfigurationError,
     MemoryLimitExceeded,
@@ -102,7 +103,7 @@ def _run_with_time_limit(result: QueryResult, deadline: Deadline | None, body) -
     query's time as the full limit, so the partially filled ``result``
     gets ``query_time`` overwritten accordingly.
     """
-    started = time.perf_counter()
+    started = perf_counter()
     try:
         faults.trip("query:start", tag=result.query_name or "")
         body()
@@ -119,7 +120,7 @@ def _run_with_time_limit(result: QueryResult, deadline: Deadline | None, body) -
         result.failure = QueryFailure(
             kind="error", message=f"{type(exc).__name__}: {exc}", stage="query"
         )
-    result.query_time = time.perf_counter() - started
+    result.query_time = perf_counter() - started
     return result
 
 
@@ -141,9 +142,13 @@ class VcFVPipeline(QueryPipeline):
         if plan is None:
             plan = compile_plan(query)
 
+        tag = f"{self.name}:{query.name or ''}"
+
         def body() -> None:
-            for gid, graph in db.items():
-                self.process_graph(query, gid, graph, result, deadline, plan=plan)
+            # Only the graphs the database's seed screen lets through: the
+            # others fail the matcher's own LDF seeding.
+            for gid in iter_bits(db.seed_screen(plan.seed_pairs)):
+                self.process_graph(query, gid, db[gid], result, deadline, plan, tag)
 
         return _run_with_time_limit(result, deadline, body)
 
@@ -154,27 +159,29 @@ class VcFVPipeline(QueryPipeline):
         graph: Graph,
         result: QueryResult,
         deadline: Deadline | None,
-        plan: QueryPlan | None = None,
+        plan: QueryPlan,
+        tag: str,
     ) -> None:
-        faults.trip("filter", tag=f"{self.name}:{query.name or ''}")
-        with Timer() as t_filter:
-            candidates = self.matcher.build_candidates(
-                query, graph, deadline=deadline, plan=plan
-            )
-        result.filtering_time += t_filter.elapsed
+        """Filter, then verify, one data graph; ``tag`` is the per-query
+        fault tag (built once by ``execute``, not once per graph)."""
+        matcher = self.matcher
+        faults.trip("filter", tag=tag)
+        started = perf_counter()
+        candidates = matcher.build_candidates(query, graph, deadline=deadline, plan=plan)
+        result.filtering_time += perf_counter() - started
         if candidates is None or not candidates.all_nonempty:
             return
         result.candidates.add(gid)
         result.auxiliary_memory_bytes = max(
             result.auxiliary_memory_bytes, candidates.memory_bytes()
         )
-        faults.trip("verify", tag=f"{self.name}:{query.name or ''}")
-        with Timer() as t_verify:
-            order = self.matcher.matching_order(query, graph, candidates, plan=plan)
-            found = enumerate_embeddings(
-                query, graph, candidates, order, limit=1, deadline=deadline, plan=plan
-            ).found
-        result.verification_time += t_verify.elapsed
+        faults.trip("verify", tag=tag)
+        started = perf_counter()
+        order = matcher.matching_order(query, graph, candidates, plan=plan)
+        found = enumerate_embeddings(
+            query, graph, candidates, order, limit=1, deadline=deadline, plan=plan
+        ).found
+        result.verification_time += perf_counter() - started
         if found:
             result.answers.add(gid)
 
@@ -271,15 +278,22 @@ class IvcFVPipeline(QueryPipeline):
         if plan is None:
             plan = compile_plan(query)
 
+        tag = f"{self.name}:{query.name or ''}"
+        vc_tag = f"{self._vc.name}:{query.name or ''}"
+
         def body() -> None:
-            faults.trip("filter", tag=f"{self.name}:{query.name or ''}")
+            faults.trip("filter", tag=tag)
             with Timer() as t_index:
                 index_survivors = self.index.candidates(query, deadline=deadline)
             result.filtering_time = t_index.elapsed
             index_survivors = {gid for gid in index_survivors if gid in db}
             result.index_candidates = set(index_survivors)
+            screened = db.seed_screen(plan.seed_pairs)
             for gid in sorted(index_survivors):
-                self._vc.process_graph(query, gid, db[gid], result, deadline, plan=plan)
+                if screened >> gid & 1:
+                    self._vc.process_graph(
+                        query, gid, db[gid], result, deadline, plan, vc_tag
+                    )
 
         return _run_with_time_limit(result, deadline, body)
 

@@ -4,11 +4,19 @@ Graph ids are stable handles: removing a graph never renumbers the others.
 This matters for the paper's motivating point that IFV indices are costly to
 maintain under updates — the dynamic-database example exercises exactly
 ``add_graph``/``remove_graph`` against an index that must keep up.
+
+The database also answers the one filtering question that does not need a
+data graph in hand: *which graphs own, for each of these (label, degree)
+pairs, a vertex with that label and at least that degree?*  That is the
+LDF seed test every vcFV matcher starts with, so :meth:`GraphDatabase.
+seed_screen` lets a scan skip the graphs that test would reject before
+paying for a per-graph filter call.  The screen is a derived cache: built
+on the first scan, caught up lazily after mutations, never pickled.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.graph.labeled_graph import Graph
@@ -38,6 +46,46 @@ class DatabaseStats:
         }
 
 
+class _SeedScreen:
+    """Per ``(label, min_degree)``: a bitmap over graph ids of the graphs
+    that own a vertex with that label and at least that degree.
+
+    Insertions queue in ``pending`` and are folded in by the next scan;
+    a removal only clears the graph's bit in ``live``, so its bits in
+    ``entries`` go stale.  A stale bit matters only once the id is given
+    to another graph (``add_graph_with_id``): the screen then passes that
+    id for pairs either graph owned — a superset, which is still sound.
+    """
+
+    __slots__ = ("entries", "live", "pending")
+
+    def __init__(self, pending: list[int]) -> None:
+        self.entries: dict[tuple[int, int], int] = {}
+        self.live = 0
+        self.pending = pending
+
+    def fold(self, graphs: dict[int, Graph]) -> None:
+        """Bring ``entries``/``live`` up to date with the queued ids."""
+        entries = self.entries
+        for gid in self.pending:
+            graph = graphs.get(gid)
+            if graph is None:  # removed again before any scan saw it
+                continue
+            bit = 1 << gid
+            self.live |= bit
+            offsets = graph.csr_offsets()
+            max_degree: dict[int, int] = {}
+            for v, label in enumerate(graph.labels):
+                degree = offsets[v + 1] - offsets[v]
+                if degree > max_degree.get(label, -1):
+                    max_degree[label] = degree
+            for label, top in max_degree.items():
+                for degree in range(top + 1):
+                    key = (label, degree)
+                    entries[key] = entries.get(key, 0) | bit
+        self.pending = []
+
+
 class GraphDatabase:
     """An ordered, updatable collection of data graphs with stable ids."""
 
@@ -48,6 +96,8 @@ class GraphDatabase:
         # Optional mapping from integer labels back to source names, filled
         # in by the I/O layer when a file uses string labels.
         self.label_names: dict[int, str] | None = None
+        # Built by the first scan (see seed_screen).
+        self._screen: _SeedScreen | None = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -68,6 +118,8 @@ class GraphDatabase:
         gid = self._next_id
         self._graphs[gid] = graph
         self._next_id += 1
+        if self._screen is not None:
+            self._screen.pending.append(gid)
         return gid
 
     def add_graphs(self, graphs: list[Graph]) -> list[int]:
@@ -87,14 +139,19 @@ class GraphDatabase:
             raise ValueError(f"graph id must be non-negative, got {gid}")
         self._graphs[gid] = graph
         self._next_id = max(self._next_id, gid + 1)
+        if self._screen is not None:
+            self._screen.pending.append(gid)
         return gid
 
     def remove_graph(self, gid: int) -> Graph:
         """Remove and return the graph with id ``gid``."""
         try:
-            return self._graphs.pop(gid)
+            graph = self._graphs.pop(gid)
         except KeyError:
             raise KeyError(f"no graph with id {gid}") from None
+        if self._screen is not None:
+            self._screen.live &= ~(1 << gid)
+        return graph
 
     def restore(self, graphs: list[tuple[int, Graph]], next_id: int) -> None:
         """Replace the whole contents (database-snapshot recovery).
@@ -107,6 +164,7 @@ class GraphDatabase:
         self._next_id = max(
             [next_id, *(gid + 1 for gid in self._graphs)], default=next_id
         )
+        self._screen = None
 
     # ------------------------------------------------------------------
     # Access
@@ -133,6 +191,35 @@ class GraphDatabase:
 
     def graphs(self) -> list[Graph]:
         return list(self._graphs.values())
+
+    def seed_screen(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Bitmap over graph ids of the graphs that may pass LDF seeding.
+
+        ``pairs`` are a query's distinct ``(label, degree)`` pairs
+        (:attr:`QueryPlan.seed_pairs <repro.matching.plan.QueryPlan>`).
+        Bit ``gid`` is set iff graph ``gid`` is present and owns, for
+        every pair, a vertex with that label and at least that degree —
+        exactly the graphs whose LDF seed sets are all non-empty (a
+        superset of them once a removed id has been re-used).  Every
+        vcFV matcher rejects the others at seeding, so a scan that visits
+        only these graphs returns the same answers *and* candidates.
+        """
+        screen = self._screen
+        if screen is None:
+            screen = self._screen = _SeedScreen(list(self._graphs))
+        if screen.pending:
+            screen.fold(self._graphs)
+        entries = screen.entries
+        survivors = screen.live
+        for pair in pairs:
+            survivors &= entries.get(pair, 0)
+        return survivors
+
+    def __getstate__(self) -> dict:
+        """Drop the seed screen: a derived cache, rebuilt on first scan."""
+        state = self.__dict__.copy()
+        state["_screen"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Statistics & accounting

@@ -280,10 +280,20 @@ class Graph:
             self._label_bitmaps = index
         return self._label_bitmaps.get(label, 0)
 
+    def neighbor_bitmaps(self) -> list[int]:
+        """Bitmap of N(v) for every vertex ``v`` (read-only by contract).
+
+        The filter loops hoist this list to a local and index it, instead
+        of paying a method call per candidate vertex.
+        """
+        if self._nbr_bitmaps is None:
+            self._nbr_bitmaps = [pack_bits(nbrs) for nbrs in self._adj_sets]
+        return self._nbr_bitmaps
+
     def neighbor_bitmap(self, v: int) -> int:
         """Bitmap of N(v)."""
         if self._nbr_bitmaps is None:
-            self._nbr_bitmaps = [pack_bits(nbrs) for nbrs in self._adj_sets]
+            return self.neighbor_bitmaps()[v]
         return self._nbr_bitmaps[v]
 
     def neighbor_label_bitmap(self, v: int, label: int) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.graph.labeled_graph import Graph
 from repro.matching.candidates import CandidateSets
 from repro.matching.enumeration import enumerate_embeddings
-from repro.matching.plan import QueryPlan
+from repro.matching.plan import QueryPlan, compile_plan
 from repro.utils.timing import Deadline, Timer
 
 __all__ = ["MatchOutcome", "PreprocessingMatcher", "SubgraphMatcher"]
@@ -161,6 +161,8 @@ class PreprocessingMatcher(SubgraphMatcher):
             if collect:
                 outcome.embeddings.append({})
             return outcome
+        if plan is None:
+            plan = compile_plan(query)
         with Timer() as t_filter:
             candidates = self.build_candidates(query, data, deadline=deadline, plan=plan)
         outcome.filter_time = t_filter.elapsed

@@ -194,8 +194,7 @@ class CandidateSets:
     @property
     def all_nonempty(self) -> bool:
         """Whether every Φ(u) is non-empty (the vcFV filtering test)."""
-        kernel = self._kernel
-        return all(kernel.any(b) for b in self._bits)
+        return 0 not in self._sizes
 
     def sizes(self) -> tuple[int, ...]:
         return self._sizes
@@ -308,17 +307,8 @@ def nlf_candidate_bits(
     the bitmap backend the thresholds are taken from.
     """
     if plan is not None:
-        # The plan's flat constraint arrays index directly — no per-vertex
-        # tuple materialization on the hot path.
-        labels, degrees = plan.labels, plan.degrees
-        off = plan.nlf_offsets
-        nlf_items = [
-            [
-                (plan.nlf_labels[k], plan.nlf_counts[k])
-                for k in range(off[u], off[u + 1])
-            ]
-            for u in query.vertices()
-        ]
+        # Compiled once per query, not rebuilt per data graph.
+        labels, degrees, nlf_items = plan.labels, plan.degrees, plan.nlf_items
     else:
         labels = tuple(query.labels)
         degrees = tuple(query.degree(u) for u in query.vertices())

@@ -32,12 +32,11 @@ space.
 
 from __future__ import annotations
 
-from repro.graph.algorithms import bfs_tree, two_core
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import PreprocessingMatcher
-from repro.matching.candidates import CandidateSets, ldf_candidate_bits, select_kernel
+from repro.matching.candidates import CandidateSets, select_kernel
 from repro.matching.ordering import path_based_order
-from repro.matching.plan import QueryPlan
+from repro.matching.plan import QueryPlan, compile_plan
 from repro.utils.timing import Deadline
 
 __all__ = ["CFLMatcher"]
@@ -52,7 +51,12 @@ def _adjacent_to_some(data: Graph, v: int, phi_u2: set[int]) -> bool:
 
 
 class CFLMatcher(PreprocessingMatcher):
-    """Preprocessing-enumeration matcher with CFL's filter and order."""
+    """Preprocessing-enumeration matcher with CFL's filter and order.
+
+    Stateless: everything the ordering phase needs from the filter phase
+    (the BFS root) is recomputed from the plan and the data graph, so one
+    instance can serve any number of threads.
+    """
 
     name = "CFL"
 
@@ -67,73 +71,50 @@ class CFLMatcher(PreprocessingMatcher):
         deadline: Deadline | None = None,
         plan: QueryPlan | None = None,
     ) -> CandidateSets | None:
-        seeds = ldf_candidate_bits(query, data, deadline=deadline)
+        if plan is None:
+            plan = compile_plan(query)
+        seed_of = plan.seed_of
+        if deadline is not None:
+            # One poll per data graph, charged like the per-vertex polls it
+            # stands for: the seed filters' stride of 8 per query vertex
+            # plus one per vertex in each pruning pass.
+            deadline.check_every(10 * len(seed_of))
+        seeds = self._seed_bits(plan, data)
         if not all(seeds):
             return None
-        root = self._select_root(query, [b.bit_count() for b in seeds])
-        tree = plan.bfs_tree(root) if plan is not None else bfs_tree(query, root)
-        visit_rank = {u: i for i, u in enumerate(tree.order)}
+        program = plan.filter_program(self._select_root(plan, seeds))
 
-        phi: list[int] = [0] * query.num_vertices
-        phi[root] = seeds[root]
-
+        # Every Φ(u) starts as its LDF seed; both passes then only ever
+        # AND into it.  (The textbook top-down pool — label-``L(u)``
+        # neighbors of Φ(parent) with enough degree — is exactly
+        # ``seed(u) & union(parent)``.)
+        phi = [seeds[i] for i in seed_of]
         # ``v`` is adjacent to some candidate of ``u2`` iff ``v`` lies in
-        # the union of the neighbor bitmaps of Φ(u2)'s members, so both
-        # pruning rules below are one AND against that union — computed
-        # once per query neighbor, not once per candidate.  Unions are
-        # memoized per phase (Φ(u2) is final when a phase reads it).
-        def adjacency_union(bits: int) -> int:
-            mask = 0
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                mask |= data.neighbor_bitmap(low.bit_length() - 1)
-            return mask
-
-        # Top-down generation with backward pruning.
-        union_memo: dict[int, int] = {}
-        for u in tree.order[1:]:
-            if deadline is not None:
-                deadline.check()
-            parent = tree.parent[u]
-            label_u = query.label(u)
-            pool = 0
-            bits = phi[parent]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                pool |= data.neighbor_label_bitmap(low.bit_length() - 1, label_u)
-            pool &= data.degree_bitmap(query.degree(u))
-            for u2 in query.neighbors(u):
+        # the union of the neighbor bitmaps of Φ(u2)'s members, so each
+        # pruning rule is one AND against that union — computed once per
+        # query neighbor, not once per candidate.  ``union[u2] < 0`` means
+        # "not computed for the current Φ(u2)".
+        union = [-1] * len(phi)
+        nbr = data.neighbor_bitmaps()
+        for u, neighbors in program.steps:
+            kept = pool = phi[u]
+            for u2 in neighbors:
+                mask = union[u2]
+                if mask < 0:
+                    mask = 0
+                    bits = phi[u2]
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        mask |= nbr[low.bit_length() - 1]
+                    union[u2] = mask
+                pool &= mask
                 if not pool:
-                    break
-                if visit_rank[u2] < visit_rank[u] and u2 != parent:
-                    mask = union_memo.get(u2)
-                    if mask is None:
-                        mask = union_memo[u2] = adjacency_union(phi[u2])
-                    pool &= mask
-            if not pool:
-                return None
-            phi[u] = pool
+                    return None
+            if pool != kept:
+                phi[u] = pool
+                union[u] = -1
 
-        # Bottom-up refinement.
-        union_memo = {}
-        for u in reversed(tree.order):
-            if deadline is not None:
-                deadline.check()
-            kept = phi[u]
-            for u2 in query.neighbors(u):
-                if visit_rank[u2] > visit_rank[u]:
-                    mask = union_memo.get(u2)
-                    if mask is None:
-                        mask = union_memo[u2] = adjacency_union(phi[u2])
-                    kept &= mask
-                    if not kept:
-                        return None
-            phi[u] = kept
-
-        # Remember the tree for the ordering phase of this same query.
-        self._last_tree = (query, tree)
         # The refinement above is int-bitmap native; the selected backend
         # takes over at the boundary (one cheap conversion per query).
         return CandidateSets.from_bitmaps(
@@ -141,12 +122,23 @@ class CFLMatcher(PreprocessingMatcher):
         )
 
     @staticmethod
-    def _select_root(query: Graph, seed_sizes: list[int]) -> int:
-        """argmin over u of |C_ini(u)| / d(u) (CFL's root rule)."""
+    def _seed_bits(plan: QueryPlan, data: Graph) -> list[int]:
+        """LDF seed bitmap of each distinct ``(label, degree)`` pair."""
+        label_bitmap, degree_bitmap = data.label_bitmap, data.degree_bitmap
+        return [
+            label_bitmap(label) & degree_bitmap(degree)
+            for label, degree in plan.seed_pairs
+        ]
+
+    @staticmethod
+    def _select_root(plan: QueryPlan, seeds: list[int]) -> int:
+        """argmin over u of |C_ini(u)| / d(u), ties to the smaller u (CFL's
+        root rule) — evaluated per distinct seed pair, whose vertices share
+        both terms."""
         return min(
-            query.vertices(),
-            key=lambda u: (seed_sizes[u] / max(query.degree(u), 1), u),
-        )
+            (bits.bit_count() / (degree or 1), first)
+            for bits, (_, degree), first in zip(seeds, plan.seed_pairs, plan.seed_first)
+        )[1]
 
     # ------------------------------------------------------------------
     # Ordering phase
@@ -159,13 +151,10 @@ class CFLMatcher(PreprocessingMatcher):
         candidates: CandidateSets,
         plan: QueryPlan | None = None,
     ) -> tuple[int, ...]:
-        cached = getattr(self, "_last_tree", None)
-        if cached is not None and cached[0] is query:
-            tree = cached[1]
-        else:
-            # Ordering requested without a preceding filter run on this
-            # query: rebuild the BFS tree from the same root rule.
-            root = self._select_root(query, list(candidates.sizes()))
-            tree = plan.bfs_tree(root) if plan is not None else bfs_tree(query, root)
-        core = plan.two_core() if plan is not None else two_core(query)
-        return path_based_order(query, tree, candidates, core=core)
+        if plan is None:
+            plan = compile_plan(query)
+        # The filter's own tree: same root rule on the same LDF seeds.
+        root = self._select_root(plan, self._seed_bits(plan, data))
+        return path_based_order(
+            query, plan.bfs_tree(root), candidates, core=plan.two_core()
+        )

@@ -43,4 +43,4 @@ class CFQLMatcher(PreprocessingMatcher):
         candidates: CandidateSets,
         plan: QueryPlan | None = None,
     ) -> tuple[int, ...]:
-        return join_based_order(query, candidates)
+        return join_based_order(query, candidates, plan)

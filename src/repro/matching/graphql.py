@@ -31,7 +31,7 @@ from repro.matching.candidates import (
     select_kernel,
 )
 from repro.matching.ordering import join_based_order
-from repro.matching.plan import QueryPlan
+from repro.matching.plan import QueryPlan, compile_plan
 from repro.utils.timing import Deadline
 
 __all__ = ["GraphQLMatcher"]
@@ -66,13 +66,16 @@ class GraphQLMatcher(PreprocessingMatcher):
         deadline: Deadline | None = None,
         plan: QueryPlan | None = None,
     ) -> CandidateSets | None:
+        if plan is None:
+            plan = compile_plan(query)
         phi = nlf_candidate_bits(query, data, deadline=deadline, plan=plan)
         if not all(phi):
             return None
+        nbr = data.neighbor_bitmaps()
         for _ in range(self.refine_iterations):
             changed = False
             # Ascending query-vertex ids, per the paper's implementation note.
-            for u in query.vertices():
+            for u, neighbors in enumerate(plan.adjacency):
                 if deadline is not None:
                     deadline.check()
                 kept = phi[u]
@@ -80,7 +83,7 @@ class GraphQLMatcher(PreprocessingMatcher):
                 while pool:
                     low = pool & -pool
                     pool ^= low
-                    if not self._pseudo_iso(query, data, phi, u, low.bit_length() - 1):
+                    if not self._pseudo_iso(phi, neighbors, nbr[low.bit_length() - 1]):
                         kept ^= low
                 if kept != phi[u]:
                     changed = True
@@ -97,16 +100,13 @@ class GraphQLMatcher(PreprocessingMatcher):
 
     @staticmethod
     def _pseudo_iso(
-        query: Graph,
-        data: Graph,
-        phi: list[int],
-        u: int,
-        v: int,
+        phi: list[int], query_nbrs: tuple[int, ...], data_nbrs: int
     ) -> bool:
-        """The local bipartite feasibility test for the mapping (u, v)."""
-        data_nbrs = data.neighbor_bitmap(v)
+        """The local bipartite feasibility test for mapping a query vertex
+        with neighbors ``query_nbrs`` onto a data vertex whose neighbor
+        bitmap is ``data_nbrs``."""
         rows: list[int] = []
-        for u2 in query.neighbors(u):
+        for u2 in query_nbrs:
             row_bits = phi[u2] & data_nbrs
             if not row_bits:
                 return False
@@ -124,4 +124,4 @@ class GraphQLMatcher(PreprocessingMatcher):
         candidates: CandidateSets,
         plan: QueryPlan | None = None,
     ) -> tuple[int, ...]:
-        return join_based_order(query, candidates)
+        return join_based_order(query, candidates, plan)

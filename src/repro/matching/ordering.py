@@ -20,28 +20,40 @@ from __future__ import annotations
 from repro.graph.algorithms import BFSTree, two_core
 from repro.graph.labeled_graph import Graph
 from repro.matching.candidates import CandidateSets
+from repro.matching.plan import QueryPlan, query_adjacency
 
 __all__ = ["join_based_order", "path_based_order"]
 
 
-def join_based_order(query: Graph, candidates: CandidateSets) -> tuple[int, ...]:
-    """GraphQL's greedy join order (minimum candidate count first)."""
-    n = query.num_vertices
+def join_based_order(
+    query: Graph, candidates: CandidateSets, plan: QueryPlan | None = None
+) -> tuple[int, ...]:
+    """GraphQL's greedy join order (minimum candidate count first).
+
+    Ties go to the smaller vertex id.  ``(size, u)`` is compared as the
+    single int ``size * n + u``, so picking the next vertex is a plain
+    ``min`` over the frontier's keys.
+    """
+    adjacency = plan.adjacency if plan is not None else query_adjacency(query)
+    n = len(adjacency)
     if n == 0:
         return ()
-    sizes = candidates.sizes()
-    start = min(query.vertices(), key=lambda u: (sizes[u], u))
-    order = [start]
-    selected = {start}
-    frontier = {u for u in query.neighbors(start)}
-    while len(order) < n:
-        if not frontier:
-            raise ValueError("join_based_order requires a connected query graph")
-        nxt = min(frontier, key=lambda u: (sizes[u], u))
-        order.append(nxt)
-        selected.add(nxt)
-        frontier.discard(nxt)
-        frontier.update(u for u in query.neighbors(nxt) if u not in selected)
+    keys = [size * n + u for u, size in enumerate(candidates.sizes())]
+    reached = [False] * n
+    order: list[int] = []
+    frontier = [min(keys)]
+    reached[frontier[0] % n] = True
+    while frontier:
+        key = min(frontier)
+        frontier.remove(key)
+        u = key % n
+        order.append(u)
+        for u2 in adjacency[u]:
+            if not reached[u2]:
+                reached[u2] = True
+                frontier.append(keys[u2])
+    if len(order) < n:
+        raise ValueError("join_based_order requires a connected query graph")
     return tuple(order)
 
 

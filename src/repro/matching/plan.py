@@ -9,10 +9,15 @@ query-compile time:
 
 * per-vertex label/degree arrays and flattened NLF constraint tuples (the
   filter-phase constants);
+* the distinct ``(label, degree)`` seed pairs (what the database-level
+  seed screen and the LDF seeds are evaluated on — once per distinct pair,
+  not once per query vertex) and the adjacency as tuples;
 * a memo of :class:`CompiledOrder` objects — each a *validated* connected
   matching order with its backward-neighbor structure expressed as flat
   position arrays the iterative enumeration kernel consumes directly;
-* the query's 2-core and per-root BFS trees (CFL's ordering inputs).
+* the query's 2-core and, per CFL root, a :class:`FilterProgram`: the BFS
+  tree plus CFL's top-down and bottom-up passes flattened into one step
+  list the filter just loops over.
 
 On top sits :class:`PlanCache`, an engine/service-level LRU keyed by a
 *canonical* form of the query, so a repeat of an isomorphic query — same
@@ -35,18 +40,21 @@ from __future__ import annotations
 import threading
 from array import array
 from collections import OrderedDict
+from typing import NamedTuple
 
 from repro.graph.algorithms import BFSTree, bfs_tree, two_core
 from repro.graph.labeled_graph import Graph
 
 __all__ = [
     "CompiledOrder",
+    "FilterProgram",
     "PlanCache",
     "QueryPlan",
     "canonical_query_key",
     "compile_order",
     "compile_plan",
     "exact_query_key",
+    "query_adjacency",
 ]
 
 #: Most compiled orders memoized per plan.  Orders vary with candidate-set
@@ -55,8 +63,8 @@ __all__ = [
 #: without remembering.
 _MAX_ORDER_MEMO = 64
 
-#: Most BFS trees memoized per plan (one per distinct CFL root).
-_MAX_TREE_MEMO = 16
+#: Most filter programs memoized per plan (one per distinct CFL root).
+_MAX_PROGRAM_MEMO = 16
 
 #: Leaves the canonical-labeling search may visit before giving up on a
 #: pathologically symmetric query and falling back to the exact-form key.
@@ -133,6 +141,27 @@ def compile_order(query: Graph, order: tuple[int, ...]) -> CompiledOrder:
     return CompiledOrder(tuple(order), tuple(backward), tuple(prefix), tuple(extends))
 
 
+def query_adjacency(query: Graph) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor ids of every vertex, as tuples of tuples."""
+    return tuple(tuple(query.neighbors(u)) for u in query.vertices())
+
+
+class FilterProgram(NamedTuple):
+    """CFL's filter for one BFS root, compiled to data-graph-free steps.
+
+    ``steps`` lists ``(u, neighbors)`` pairs: first the top-down pass (each
+    non-root ``u`` in BFS order with its *earlier*-visited neighbors — the
+    tree parent and the backward non-tree ones), then the bottom-up pass
+    (reverse BFS order, each ``u`` with its *later*-visited neighbors).
+    Both pruning rules have the same shape — keep ``v`` in Φ(u) only if it
+    is adjacent to a candidate of every listed neighbor — so the filter is
+    one loop over ``steps``.  Vertices with no listed neighbor are left out.
+    """
+
+    tree: BFSTree
+    steps: tuple[tuple[int, tuple[int, ...]], ...]
+
+
 class QueryPlan:
     """Everything about one query that is independent of the data graph.
 
@@ -148,11 +177,15 @@ class QueryPlan:
         "nlf_labels",
         "nlf_counts",
         "nlf_offsets",
+        "adjacency",
+        "seed_pairs",
+        "seed_of",
+        "seed_first",
         "exact_key",
         "canonical_key",
         "canonical_positions",
         "_orders",
-        "_trees",
+        "_programs",
         "_core",
         "_nlf_items",
     )
@@ -186,6 +219,21 @@ class QueryPlan:
         self.nlf_counts = nlf_counts
         self.nlf_offsets = nlf_offsets
         self._nlf_items: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        #: Sorted neighbor ids per vertex, as tuples (no array slicing on
+        #: the per-data-graph paths).
+        self.adjacency = query_adjacency(query)
+        #: The distinct ``(label, degree)`` pairs in first-appearance
+        #: order; ``seed_of[u]`` indexes vertex ``u``'s pair and
+        #: ``seed_first[i]`` is the smallest vertex carrying pair ``i``.
+        first_vertex: dict[tuple[int, int], int] = {}
+        for u, pair in enumerate(zip(self.labels, self.degrees)):
+            first_vertex.setdefault(pair, u)
+        pair_index = {pair: i for i, pair in enumerate(first_vertex)}
+        self.seed_pairs = tuple(first_vertex)
+        self.seed_first = tuple(first_vertex.values())
+        self.seed_of = tuple(
+            pair_index[pair] for pair in zip(self.labels, self.degrees)
+        )
         self.exact_key = exact_key if exact_key is not None else exact_query_key(query)
         #: Isomorphism-invariant cache key (None until a PlanCache computes
         #: it; plain compile_plan callers never pay for canonicalisation).
@@ -193,7 +241,7 @@ class QueryPlan:
         #: vertex -> canonical position, for rebinding isomorphic repeats.
         self.canonical_positions = canonical_positions
         self._orders: dict[tuple[int, ...], CompiledOrder] = {}
-        self._trees: dict[int, BFSTree] = {}
+        self._programs: dict[int, FilterProgram] = {}
         self._core: frozenset[int] | None = None
 
     @property
@@ -230,14 +278,33 @@ class QueryPlan:
             self._core = two_core(self.query)
         return self._core
 
+    def filter_program(self, root: int) -> FilterProgram:
+        """CFL's compiled filter passes from ``root`` (memoized per root)."""
+        program = self._programs.get(root)
+        if program is None:
+            tree = bfs_tree(self.query, root)
+            rank = [0] * len(tree.order)
+            for i, u in enumerate(tree.order):
+                rank[u] = i
+            adjacency = self.adjacency
+            top_down = [
+                (u, tuple(u2 for u2 in adjacency[u] if rank[u2] < rank[u]))
+                for u in tree.order[1:]
+            ]
+            bottom_up = [
+                (u, tuple(u2 for u2 in adjacency[u] if rank[u2] > rank[u]))
+                for u in reversed(tree.order)
+            ]
+            program = FilterProgram(
+                tree, (*top_down, *(step for step in bottom_up if step[1]))
+            )
+            if len(self._programs) < _MAX_PROGRAM_MEMO:
+                self._programs[root] = program
+        return program
+
     def bfs_tree(self, root: int) -> BFSTree:
         """The query's BFS tree from ``root`` (memoized per root)."""
-        tree = self._trees.get(root)
-        if tree is None:
-            tree = bfs_tree(self.query, root)
-            if len(self._trees) < _MAX_TREE_MEMO:
-                self._trees[root] = tree
-        return tree
+        return self.filter_program(root).tree
 
     # ------------------------------------------------------------------
     # Isomorphic rebinding

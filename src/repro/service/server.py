@@ -896,10 +896,16 @@ class QueryService:
         if self._draining.is_set():
             return
         self._draining.set()
-        # Refuse new connections immediately; closing the listener
-        # unblocks the accept loop.
+        # Refuse new connections immediately.  ``close()`` alone does not
+        # wake a thread already blocked in ``accept()`` on Linux;
+        # ``shutdown()`` does (accept fails with EINVAL), so the accept
+        # loop ends now instead of at serve()'s join timeout.
         listener = self._listener
         if listener is not None:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

@@ -143,6 +143,13 @@ class _ShardedDbView:
             merged.update(shard.engine.db.ids())
         return sorted(merged)
 
+    def seed_screen(self, pairs) -> int:
+        """Union of the shard databases' seed screens (ids are global)."""
+        survivors = 0
+        for shard in self._shards:
+            survivors |= shard.engine.db.seed_screen(pairs)
+        return survivors
+
     @property
     def next_id(self) -> int:
         return max(s.engine.db.next_id for s in self._shards)

@@ -320,10 +320,23 @@ def _env_backend() -> str:
 #: The process-wide default backend name; ``None`` = follow the env var.
 _DEFAULT_BACKEND: str | None = None
 
+#: What :func:`default_backend` last resolved; ``None`` = resolve again.
+_RESOLVED_BACKEND: str | None = None
+
 
 def default_backend() -> str:
-    """The effective default backend name (flag/env resolved, not auto)."""
-    return _DEFAULT_BACKEND if _DEFAULT_BACKEND is not None else _env_backend()
+    """The effective default backend name (flag/env resolved, not auto).
+
+    Resolved once per process — the environment variable is read and
+    validated on first use, not per data graph — and again after every
+    :func:`set_default_backend` / :func:`backend_override`.
+    """
+    global _RESOLVED_BACKEND
+    if _RESOLVED_BACKEND is None:
+        _RESOLVED_BACKEND = (
+            _DEFAULT_BACKEND if _DEFAULT_BACKEND is not None else _env_backend()
+        )
+    return _RESOLVED_BACKEND
 
 
 def set_default_backend(name: str | None) -> None:
@@ -334,8 +347,9 @@ def set_default_backend(name: str | None) -> None:
     """
     if name is not None and name not in BACKEND_NAMES:
         raise ValueError(f"unknown bitset backend {name!r}; expected {BACKEND_NAMES}")
-    global _DEFAULT_BACKEND
+    global _DEFAULT_BACKEND, _RESOLVED_BACKEND
     _DEFAULT_BACKEND = name
+    _RESOLVED_BACKEND = None
 
 
 @contextmanager

@@ -5,7 +5,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.graph import Graph
-from repro.matching import CandidateSets, CFLMatcher, VF2Matcher, ldf_candidates
+from repro.matching import (
+    CandidateSets,
+    CFLMatcher,
+    VF2Matcher,
+    compile_plan,
+    ldf_candidates,
+)
 
 from helpers import nx_monomorphism_count, paper_like_data, paper_like_query, path_graph
 from strategies import matching_instances
@@ -50,8 +56,8 @@ class TestFilter:
         g = Graph.from_edge_list(
             [0, 1, 1, 1, 1], [(0, 1), (0, 2), (0, 3), (0, 4)]
         )
-        seeds = ldf_candidates(q, g)
-        assert CFLMatcher._select_root(q, [len(s) for s in seeds]) == 0
+        plan = compile_plan(q)
+        assert CFLMatcher._select_root(plan, CFLMatcher._seed_bits(plan, g)) == 0
 
     @given(matching_instances(guaranteed_match=True))
     @settings(max_examples=30, deadline=None)

@@ -732,6 +732,25 @@ class TestServeSubprocess:
         assert proc.returncode == 0, output
         assert "# drained:" in output
 
+    @pytest.mark.parametrize("how", ["shutdown-verb", "sigterm"])
+    def test_idle_drain_takes_under_a_second(self, db_path, tmp_path, how):
+        """The drain must wake the thread blocked in ``accept()``, not sit
+        out serve()'s five-second join on it."""
+        sock_path = tmp_path / "serve.sock"
+        proc = self.start(db_path, sock_path, tmp_path)
+        with ServiceClient(f"unix:{sock_path}") as client:
+            client.query(named_square("q"))
+            began = time.perf_counter()
+            if how == "sigterm":
+                proc.send_signal(signal.SIGTERM)
+            else:
+                client.shutdown()
+        output, _ = proc.communicate(timeout=30.0)
+        elapsed = time.perf_counter() - began
+        assert proc.returncode == (143 if how == "sigterm" else 0), output
+        assert "# drained:" in output
+        assert elapsed < 1.0, f"drain took {elapsed:.2f} s\n{output}"
+
 
 class TestSupervisedDrain:
     """Graceful drain while a *supervised* batch is in flight: the
