@@ -114,14 +114,11 @@ def _bitset_backend_bench(repeats: int, quick: bool) -> dict:
     One small (paper-scale, where ``auto`` must keep python) and one large
     graph (where the word-block backend earns its keep): batch frontier
     AND+popcount over a block of adjacency rows, and full enumeration over
-    identical candidate sets in each backend — both the default dispatch
-    (word-block sets convert to int bitmaps at the enumeration boundary)
-    and the opt-in ``REPRO_ENUM_KERNEL=wordblock`` tree walk, so the
-    report records honestly that the vectorized walk loses to big ints.
-    Embedding-count parity is asserted for every timed comparison — a
-    speedup with wrong answers is not a speedup.
+    identical candidate sets in each backend (word-block sets convert to
+    int bitmaps at the enumeration boundary).  Embedding-count parity is
+    asserted for every timed comparison — a speedup with wrong answers is
+    not a speedup.
     """
-    import os
     import random
 
     from repro.graph.generators import generate_graph, random_walk_query
@@ -218,30 +215,13 @@ def _bitset_backend_bench(repeats: int, quick: bool) -> dict:
                             query, graph, c, o, limit=limit
                         ).num_embeddings
 
-                    # Default dispatch: converts to int bitmaps up front.
+                    # Converts to int bitmaps up front.
                     entry["parity_ok"] = np_enum() == py_count
                     entry["numpy"]["enumeration"] = _time_repeated(np_enum, repeats)
                     py_med = entry["python"]["enumeration"]["median_s"]
                     np_med = entry["numpy"]["enumeration"]["median_s"]
                     entry["enumeration_speedup_numpy_vs_python"] = (
                         py_med / np_med if np_med > 0 else None
-                    )
-                    # Opt-in vectorized tree walk, timed for the record.
-                    prev = os.environ.get("REPRO_ENUM_KERNEL")
-                    os.environ["REPRO_ENUM_KERNEL"] = "wordblock"
-                    try:
-                        entry["parity_ok_wordblock"] = np_enum() == py_count
-                        entry["numpy"]["enumeration_wordblock"] = _time_repeated(
-                            np_enum, repeats
-                        )
-                    finally:
-                        if prev is None:
-                            os.environ.pop("REPRO_ENUM_KERNEL", None)
-                        else:
-                            os.environ["REPRO_ENUM_KERNEL"] = prev
-                    wb_med = entry["numpy"]["enumeration_wordblock"]["median_s"]
-                    entry["enumeration_speedup_wordblock_vs_python"] = (
-                        py_med / wb_med if wb_med > 0 else None
                     )
         out["graphs"][str(n)] = entry
     return out
@@ -265,13 +245,16 @@ def _candidate_generation(db, queries, repeats: int) -> dict:
 
 
 def _enumeration_kernels(db, queries, repeats: int) -> dict:
-    """Recursive reference vs iterative kernel on identical inputs.
+    """Recursive reference vs the kernel on identical inputs.
 
     Each case is a (query, graph) pair with all-non-empty CFQL candidate
-    sets, enumerated to completion (full counting, no limit) from the
-    same candidates and matching order.  ``parity_ok`` asserts all three
-    kernel variants returned the same embedding count on every case —
-    a speedup with wrong answers is not a speedup.
+    sets, run from the same candidates and matching order twice: to
+    completion (full counting, no limit) and with ``limit=1`` (the shape
+    of a vcFV verification).  ``parity_ok`` asserts both kernels returned
+    the same embedding counts on every case — a speedup with wrong answers
+    is not a speedup.  ``recursion_calls`` (and the kernel's ``pruned``)
+    are summed over the full-count runs: the failing sets show as fewer
+    search nodes, not as faster ones.
     """
     from repro.matching.enumeration import (
         enumerate_embeddings_iterative,
@@ -290,40 +273,38 @@ def _enumeration_kernels(db, queries, repeats: int) -> dict:
             order = tuple(matcher.matching_order(q, g, candidates, plan=plan))
             cases.append((q, g, candidates, order, plan))
 
-    counts: dict[str, list[int]] = {}
-
-    def run_kernel(kind: str):
-        out = []
-        for q, g, candidates, order, plan in cases:
-            if kind == "recursive":
-                r = enumerate_embeddings_recursive(q, g, candidates, order)
-            else:
-                r = enumerate_embeddings_iterative(
-                    q,
-                    g,
-                    candidates,
-                    order,
-                    plan=plan,
-                    prefix_cache=(kind == "iterative_prefix_cache"),
-                )
-            out.append(r.num_embeddings)
-        counts[kind] = out
-        return out
-
-    kinds = ("recursive", "iterative", "iterative_prefix_cache")
-    timings = {kind: _time_repeated(lambda k=kind: run_kernel(k), repeats) for kind in kinds}
-    parity_ok = counts["recursive"] == counts["iterative"] == counts["iterative_prefix_cache"]
-    recursive_median = timings["recursive"]["median_s"]
-    out: dict = {
-        "cases": len(cases),
-        "total_embeddings": sum(counts["recursive"]),
-        "parity_ok": parity_ok,
+    kernels = {
+        "recursive": enumerate_embeddings_recursive,
+        "iterative": enumerate_embeddings_iterative,
     }
-    for kind in kinds:
-        entry = dict(timings[kind])
-        if kind != "recursive" and entry["median_s"] > 0:
-            entry["speedup_vs_recursive"] = recursive_median / entry["median_s"]
+    results: dict = {}
+
+    def run_kernel(kind: str, limit: int | None):
+        results[kind, limit] = [
+            kernels[kind](q, g, candidates, order, limit=limit, plan=plan)
+            for q, g, candidates, order, plan in cases
+        ]
+
+    out: dict = {"cases": len(cases)}
+    for kind in kernels:
+        entry = _time_repeated(lambda: run_kernel(kind, None), repeats)
+        entry["limit_1"] = _time_repeated(lambda: run_kernel(kind, 1), repeats)
+        entry["recursion_calls"] = sum(r.recursion_calls for r in results[kind, None])
         out[kind] = entry
+    reference, kernel = out["recursive"], out["iterative"]
+    kernel["pruned"] = sum(r.pruned for r in results["iterative", None])
+    for timing, baseline in (
+        (kernel, reference),
+        (kernel["limit_1"], reference["limit_1"]),
+    ):
+        if timing["median_s"] > 0:
+            timing["speedup_vs_recursive"] = baseline["median_s"] / timing["median_s"]
+    out["total_embeddings"] = sum(r.num_embeddings for r in results["recursive", None])
+    out["parity_ok"] = all(
+        [r.num_embeddings for r in results["recursive", limit]]
+        == [r.num_embeddings for r in results["iterative", limit]]
+        for limit in (None, 1)
+    )
     return out
 
 

@@ -49,6 +49,7 @@ class MatchOutcome:
     order_time: float = 0.0
     enumeration_time: float = 0.0
     recursion_calls: int = 0
+    pruned: int = 0  # candidates a failing-set cut skipped (see EnumerationResult)
     completed: bool = True
     filtered_out: bool = False  # True when Φ had an empty set (vcFV prune)
 
@@ -189,6 +190,7 @@ class PreprocessingMatcher(SubgraphMatcher):
         outcome.num_embeddings = result.num_embeddings
         outcome.embeddings = result.embeddings
         outcome.recursion_calls = result.recursion_calls
+        outcome.pruned = result.pruned
         outcome.completed = result.completed
         outcome.found = result.found
         return outcome

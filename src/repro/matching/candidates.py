@@ -180,6 +180,11 @@ class CandidateSets:
         """Φ(u) as its canonical backend-native bitmap."""
         return self._bits[u]
 
+    @property
+    def bitmaps(self) -> tuple:
+        """Every Φ(u) as backend-native bitmaps, indexed by query vertex."""
+        return self._bits
+
     def int_bits(self, u: int) -> int:
         """Φ(u) as an int bitmap regardless of backend (converted view)."""
         return self._kernel.to_int(self._bits[u])

@@ -8,14 +8,18 @@ immediately after finding the first subgraph isomorphism" (Section III-B).
 
 Two kernels implement the same contract:
 
-:func:`enumerate_embeddings_iterative` (the default)
+:func:`enumerate_embeddings` (the kernel every caller runs)
     An explicit-stack kernel over the flat arrays of a compiled order
     (:class:`repro.matching.plan.CompiledOrder`).  The used-vertex set is
     an int bitmap, deadline polls are strided over units of work rather
     than per frame, the partial intersection Φ(u) ∩ N(...) over backward
     neighbors *below the parent* is memoized per stack frame and shared by
-    sibling subtrees (GraphMini-style reuse), and the deepest level is
-    counted with a single popcount instead of a per-candidate loop.
+    sibling subtrees (GraphMini-style reuse), the deepest level is counted
+    with a single popcount instead of a per-candidate loop, and every
+    frame returns a DAF-style *failing set* — the positions whose images
+    explain why nothing below it matched — so a parent that is not in its
+    child's failing set drops its remaining siblings instead of failing
+    under each for the same reason (docs/ALGORITHMS.md has the argument).
 
 :func:`enumerate_embeddings_recursive`
     The original recursive kernel, kept verbatim as the reference
@@ -30,8 +34,6 @@ when a :class:`~repro.matching.plan.QueryPlan` is supplied.
 
 from __future__ import annotations
 
-import os
-
 from dataclasses import dataclass, field
 
 from repro.graph.labeled_graph import Graph
@@ -39,15 +41,6 @@ from repro.matching.candidates import CandidateSets
 from repro.matching.plan import QueryPlan, compile_order
 from repro.utils.bitset import bit_list
 from repro.utils.timing import Deadline
-
-def _wordblock_enum_enabled() -> bool:
-    """Whether ``REPRO_ENUM_KERNEL=wordblock`` opts the enumeration tree
-    walk into the vectorized word-block kernel.  Off by default: the walk
-    is per-node python-driven and int bitmaps win it at every scale
-    measured, so the word-block backend is only routed here explicitly
-    (benchmarks, parity tests, experimentation)."""
-    return os.environ.get("REPRO_ENUM_KERNEL", "").strip().lower() == "wordblock"
-
 
 __all__ = [
     "EnumerationResult",
@@ -62,6 +55,10 @@ __all__ = [
 #: like the recursive kernel's per-call polling, at a fraction of the cost.
 _ENUM_STRIDE = 64
 
+#: The failing set of a subtree that produced an embedding: all ones, so
+#: it contains every position (never prunes) and absorbs every union.
+_FOUND = -1
+
 
 @dataclass
 class EnumerationResult:
@@ -70,12 +67,15 @@ class EnumerationResult:
     ``completed`` is ``False`` when the search stopped early because
     ``limit`` embeddings were found; a deadline expiry raises
     :class:`~repro.utils.errors.TimeLimitExceeded` instead of returning.
+    ``recursion_calls`` counts the search nodes visited and ``pruned`` the
+    candidates a failing-set cut skipped without visiting.
     """
 
     num_embeddings: int = 0
     embeddings: list[dict[int, int]] = field(default_factory=list)
     recursion_calls: int = 0
     completed: bool = True
+    pruned: int = 0
 
     @property
     def found(self) -> bool:
@@ -96,7 +96,7 @@ def _validate_order(query: Graph, order: tuple[int, ...]) -> list[list[int]]:
     ]
 
 
-def enumerate_embeddings_iterative(
+def enumerate_embeddings(
     query: Graph,
     data: Graph,
     candidates: CandidateSets,
@@ -105,14 +105,25 @@ def enumerate_embeddings_iterative(
     collect: bool = False,
     deadline: Deadline | None = None,
     plan: QueryPlan | None = None,
-    prefix_cache: bool = True,
 ) -> EnumerationResult:
-    """Iterative explicit-stack enumeration kernel (the default).
+    """Enumerate subgraph isomorphisms from ``query`` to ``data``.
 
-    Parameters match :func:`enumerate_embeddings`; additionally ``plan``
-    supplies a pre-validated compiled order (skipping per-graph
-    validation) and ``prefix_cache=False`` disables the sibling-shared
-    intersection memo (used by bench-micro to isolate its effect).
+    Parameters
+    ----------
+    candidates:
+        A *complete* candidate vertex set (Definition III.1).  Correctness
+        only needs completeness; tighter sets just prune more.
+    order:
+        Connected matching order over the query vertices.
+    limit:
+        Stop after this many embeddings (``1`` = the verification step).
+    collect:
+        Keep the embeddings themselves (as ``{query vertex: data vertex}``
+        dicts) rather than only counting.
+    plan:
+        Optional compiled :class:`~repro.matching.plan.QueryPlan`; when
+        given, the order's validation and backward structure come from the
+        plan's memo instead of being rebuilt for this data graph.
     """
     order = tuple(order)
     result = EnumerationResult()
@@ -126,38 +137,22 @@ def enumerate_embeddings_iterative(
         plan.compiled_order(order) if plan is not None else compile_order(query, order)
     )
     if candidates.backend != "python":
-        if _wordblock_enum_enabled():
-            # Opt-in vectorized tree walk (same search semantics, batch
-            # leaf level; numpy import stays lazy).
-            from repro.matching.enumeration_numpy import run_wordblock_kernel
-
-            return run_wordblock_kernel(
-                query,
-                data,
-                candidates,
-                compiled,
-                result,
-                limit=limit,
-                collect=collect,
-                deadline=deadline,
-                prefix_cache=prefix_cache,
-            )
-        # Default: convert once and enumerate over int bitmaps.  The tree
-        # walk is per-node python-driven, so big-int ops (sub-µs even at
-        # 512 words) beat per-call numpy overhead at every scale measured
-        # (4-12x at 1k-32k vertices); the word-block backend earns its
-        # keep in the batch phases (seed filters, frontier intersections,
-        # leaf counting), not here.
+        # Convert once and enumerate over int bitmaps.  The tree walk is
+        # per-node python-driven, so big-int ops (sub-µs even at 512 words)
+        # beat per-call numpy overhead at every scale measured (4-12x at
+        # 1k-32k vertices); the word-block backend earns its keep in the
+        # batch phases (seed filters, frontier intersections), not here.
         candidates = candidates.to_python()
     ordv = compiled.order
     prefixes = compiled.prefix_positions
     extends = compiled.extends_previous
+    ancestors = compiled.ancestors
+    phi = candidates.bitmaps
     n = len(ordv)
-    result.recursion_calls = 1
-    nbr = data.neighbor_bitmap
 
     if n == 1:
-        pool = candidates.bits(ordv[0])
+        result.recursion_calls = 1
+        pool = phi[ordv[0]]
         cnt = pool.bit_count()
         if deadline is not None:
             deadline.check_every(cnt + 1)
@@ -171,82 +166,126 @@ def enumerate_embeddings_iterative(
         return result
 
     last = n - 1
-    cand_bits = [candidates.bits(u) for u in ordv]
+    nbr = data.neighbor_bitmaps()
     mapping_v = [0] * n  # data vertex committed at each depth
     pools = [0] * n  # un-tried candidate bits per live frame
-    # Sibling-shared prefix memo: child_prefix[d] caches
-    # Φ(order[d]) ∩ ~used ∩ ⋂ N(image of backward positions < d-1),
-    # valid for the lifetime of frame d-1 (everything it reads is fixed
-    # until that frame is popped and re-created).
-    child_prefix = [0] * n
-    child_prefix_ok = [False] * n
+    # Sibling-shared prefix memo: child_local[d] caches the *local*
+    # candidates Φ(order[d]) ∩ ⋂ N(image of backward positions < d-1) and
+    # child_prefix[d] the same minus the used vertices; both are valid for
+    # the lifetime of frame d-1 (everything they read is fixed until that
+    # frame is popped and re-created).  The search walks the masked value;
+    # a failure decodes its injectivity conflicts from the unmasked one.
+    child_local = [0] * n
+    child_prefix = [-1] * n
+    # Failing sets (position bitmasks): fs[d] accumulates what the tried
+    # candidates of live frame d failed on; _FOUND once one of them led to
+    # an embedding.  Zero whenever frame d is not live.
+    fs = [0] * n
     used = 0
     work = 0
+    calls = 1
+    found = 0
+    pruned = 0
 
-    pools[0] = cand_bits[0]
+    pools[0] = phi[ordv[0]]
     depth = 0
     while depth >= 0:
-        pool = pools[depth]
-        if not pool:
-            depth -= 1
-            if depth >= 0:
-                used ^= 1 << mapping_v[depth]
-            continue
-        low = pool & -pool
-        pools[depth] = pool ^ low
-        work += 1
-        child = depth + 1
-        if prefix_cache and child_prefix_ok[child]:
-            pref = child_prefix[child]
-        else:
-            pref = cand_bits[child] & ~used
-            for p in prefixes[child]:
-                pref &= nbr(mapping_v[p])
-            if prefix_cache:
-                child_prefix[child] = pref
-                child_prefix_ok[child] = True
-        if extends[child]:
-            cpool = pref & nbr(low.bit_length() - 1) & ~low
-        else:
-            cpool = pref & ~low
-        if child == last:
-            # Deepest level: the pool *is* the embedding set — count it
-            # with one popcount instead of materialising each extension.
-            result.recursion_calls += 1
-            cnt = cpool.bit_count()
-            if cnt:
-                work += cnt
-                if collect:
-                    base = {ordv[i]: mapping_v[i] for i in range(depth)}
-                    base[ordv[depth]] = low.bit_length() - 1
-                    u_last = ordv[last]
-                    take = cnt
-                    if limit is not None:
-                        take = min(cnt, limit - result.num_embeddings)
-                    for w in bit_list(cpool)[:take]:
-                        emb = dict(base)
-                        emb[u_last] = w
-                        result.embeddings.append(emb)
-                if limit is not None and result.num_embeddings + cnt >= limit:
-                    result.num_embeddings = limit
-                    result.completed = False
-                    break
-                result.num_embeddings += cnt
-            if deadline is not None and work >= _ENUM_STRIDE:
-                deadline.check_every(work)
-                work = 0
-            continue
-        if cpool:
-            mapping_v[depth] = low.bit_length() - 1
-            used |= low
-            pools[child] = cpool
-            child_prefix_ok[child + 1] = False
-            depth = child
-            result.recursion_calls += 1
         if deadline is not None and work >= _ENUM_STRIDE:
             deadline.check_every(work)
             work = 0
+        pool = pools[depth]
+        if pool:
+            low = pool & -pool
+            pools[depth] = pool ^ low
+            work += 1
+            v = low.bit_length() - 1
+            child = depth + 1
+            pref = child_prefix[child]
+            if pref < 0:
+                local = phi[ordv[child]]
+                for p in prefixes[child]:
+                    local &= nbr[mapping_v[p]]
+                child_local[child] = local
+                child_prefix[child] = pref = local & ~used
+            # No self loops, so N(v) already excludes v itself.
+            cpool = pref & nbr[v] if extends[child] else pref & ~low
+            if child == last:
+                # Deepest level: the pool *is* the embedding set — count it
+                # with one popcount instead of materialising each extension.
+                calls += 1
+                if cpool:
+                    cnt = cpool.bit_count()
+                    work += cnt
+                    if collect:
+                        base = {ordv[i]: mapping_v[i] for i in range(depth)}
+                        base[ordv[depth]] = v
+                        u_last = ordv[last]
+                        take = cnt if limit is None else min(cnt, limit - found)
+                        for w in bit_list(cpool)[:take]:
+                            emb = dict(base)
+                            emb[u_last] = w
+                            result.embeddings.append(emb)
+                    if limit is not None and found + cnt >= limit:
+                        found = limit
+                        result.completed = False
+                        break
+                    found += cnt
+                    fs[depth] = _FOUND
+                    continue
+            elif cpool:
+                mapping_v[depth] = v
+                used |= low
+                pools[child] = cpool
+                child_prefix[child + 1] = -1
+                depth = child
+                calls += 1
+                continue
+            # order[child] has no candidate under this prefix: step into
+            # its (empty) frame so one path below handles every failure.
+            mapping_v[depth] = v
+            used |= low
+            depth = child
+            failing = ancestors[child]
+        else:
+            failing = fs[depth]
+            fs[depth] = 0
+        # Frame `depth` is done and `used` covers exactly the positions
+        # below it.  Unless an embedding was found under it, the local
+        # candidates an earlier position holds failed too: each blames its
+        # owner's ancestors.  (`used` includes the parent's own image,
+        # which a child not adjacent to the parent can collide with.)
+        below = (1 << depth) - 1
+        if failing & below != below:
+            conflict = child_local[depth] & used
+            if conflict and extends[depth]:
+                conflict &= nbr[mapping_v[depth - 1]]
+            while conflict:
+                bit = conflict & -conflict
+                conflict ^= bit
+                failing |= ancestors[mapping_v.index(bit.bit_length() - 1, 0, depth)]
+        # Return the failing set to the parent.  A set that does not name
+        # the parent's position fails identically under every sibling, so
+        # the rest of the parent's pool is dropped and the set travels on.
+        while True:
+            depth -= 1
+            if depth < 0:
+                break
+            used ^= 1 << mapping_v[depth]
+            if failing >> depth & 1:
+                fs[depth] |= failing
+                break
+            pruned += pools[depth].bit_count()
+            pools[depth] = 0
+            fs[depth] = 0
+    result.num_embeddings = found
+    result.recursion_calls = calls
+    result.pruned = pruned
     return result
+
+
+#: The kernel under the name the parity suite and bench-micro pair with
+#: :func:`enumerate_embeddings_recursive`.
+enumerate_embeddings_iterative = enumerate_embeddings
 
 
 def enumerate_embeddings_recursive(
@@ -328,44 +367,3 @@ def enumerate_embeddings_recursive(
 
     recurse(0)
     return result
-
-
-def enumerate_embeddings(
-    query: Graph,
-    data: Graph,
-    candidates: CandidateSets,
-    order: tuple[int, ...] | list[int],
-    limit: int | None = None,
-    collect: bool = False,
-    deadline: Deadline | None = None,
-    plan: QueryPlan | None = None,
-) -> EnumerationResult:
-    """Enumerate subgraph isomorphisms from ``query`` to ``data``.
-
-    Parameters
-    ----------
-    candidates:
-        A *complete* candidate vertex set (Definition III.1).  Correctness
-        only needs completeness; tighter sets just prune more.
-    order:
-        Connected matching order over the query vertices.
-    limit:
-        Stop after this many embeddings (``1`` = the verification step).
-    collect:
-        Keep the embeddings themselves (as ``{query vertex: data vertex}``
-        dicts) rather than only counting.
-    plan:
-        Optional compiled :class:`~repro.matching.plan.QueryPlan`; when
-        given, the order's validation and backward structure come from the
-        plan's memo instead of being rebuilt for this data graph.
-    """
-    return enumerate_embeddings_iterative(
-        query,
-        data,
-        candidates,
-        order,
-        limit=limit,
-        collect=collect,
-        deadline=deadline,
-        plan=plan,
-    )

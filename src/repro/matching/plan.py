@@ -86,10 +86,21 @@ class CompiledOrder:
         subtrees* at depth ``d - 1`` and therefore memoizable;
     ``extends_previous[d]``
         whether ``d - 1`` itself is a backward position (the one
-        intersection term that changes per sibling).
+        intersection term that changes per sibling);
+    ``ancestors[d]``
+        bitmask over positions: ``d`` plus the ancestors of every backward
+        position — the positions whose images can decide whether
+        ``order[d]`` has a candidate (the kernel's failing sets are unions
+        of these).
     """
 
-    __slots__ = ("order", "backward", "prefix_positions", "extends_previous")
+    __slots__ = (
+        "order",
+        "backward",
+        "prefix_positions",
+        "extends_previous",
+        "ancestors",
+    )
 
     def __init__(
         self,
@@ -97,11 +108,13 @@ class CompiledOrder:
         backward: tuple[tuple[int, ...], ...],
         prefix_positions: tuple[tuple[int, ...], ...],
         extends_previous: tuple[bool, ...],
+        ancestors: tuple[int, ...],
     ) -> None:
         self.order = order
         self.backward = backward
         self.prefix_positions = prefix_positions
         self.extends_previous = extends_previous
+        self.ancestors = ancestors
 
     def translated(self, mapping: dict[int, int]) -> "CompiledOrder":
         """The same order under a vertex relabeling (an isomorphism).
@@ -113,6 +126,7 @@ class CompiledOrder:
             self.backward,
             self.prefix_positions,
             self.extends_previous,
+            self.ancestors,
         )
 
 
@@ -129,6 +143,7 @@ def compile_order(query: Graph, order: tuple[int, ...]) -> CompiledOrder:
     backward: list[tuple[int, ...]] = []
     prefix: list[tuple[int, ...]] = []
     extends: list[bool] = []
+    ancestors: list[int] = []
     for i, u in enumerate(order):
         earlier = sorted(position[u2] for u2 in query.neighbors(u) if position[u2] < i)
         if i > 0 and not earlier:
@@ -138,7 +153,13 @@ def compile_order(query: Graph, order: tuple[int, ...]) -> CompiledOrder:
         backward.append(tuple(earlier))
         extends.append(bool(earlier) and earlier[-1] == i - 1)
         prefix.append(tuple(earlier[:-1]) if extends[-1] else tuple(earlier))
-    return CompiledOrder(tuple(order), tuple(backward), tuple(prefix), tuple(extends))
+        closure = 1 << i
+        for p in earlier:
+            closure |= ancestors[p]
+        ancestors.append(closure)
+    return CompiledOrder(
+        tuple(order), tuple(backward), tuple(prefix), tuple(extends), tuple(ancestors)
+    )
 
 
 def query_adjacency(query: Graph) -> tuple[tuple[int, ...], ...]:

@@ -122,6 +122,7 @@ class QuickSIMatcher(SubgraphMatcher):
         outcome.num_embeddings = result.num_embeddings
         outcome.embeddings = result.embeddings
         outcome.recursion_calls = result.recursion_calls
+        outcome.pruned = result.pruned
         outcome.completed = result.completed
         outcome.found = result.found
         return outcome

@@ -216,6 +216,7 @@ class TurboIsoMatcher(PreprocessingMatcher):
                 outcome.num_embeddings += result.num_embeddings
                 outcome.embeddings.extend(result.embeddings)
                 outcome.recursion_calls += result.recursion_calls
+                outcome.pruned += result.pruned
                 if not result.completed:
                     outcome.completed = False
         outcome.enumeration_time = t_enum.elapsed

@@ -265,9 +265,7 @@ E2E_CASES = _e2e_cases(10, seed=20260809)
 
 @needs_numpy
 @pytest.mark.parametrize("case_index", range(len(E2E_CASES)))
-def test_embedding_counts_agree_across_backends_and_kernels(
-    case_index, monkeypatch
-):
+def test_embedding_counts_agree_across_backends_and_kernels(case_index):
     query, data, candidates, order = E2E_CASES[case_index]
     nk = get_kernel("numpy")
     np_candidates = candidates.to_backend(nk, num_vertices=data.num_vertices)
@@ -276,7 +274,7 @@ def test_embedding_counts_agree_across_backends_and_kernels(
         "python/iterative": enumerate_embeddings_iterative(
             query, data, candidates, order
         ),
-        # Default dispatch: word-block sets convert to int bitmaps.
+        # Word-block sets convert to int bitmaps at the kernel boundary.
         "numpy/iterative": enumerate_embeddings_iterative(
             query, data, np_candidates, order
         ),
@@ -284,11 +282,6 @@ def test_embedding_counts_agree_across_backends_and_kernels(
             query, data, np_candidates, order
         ),
     }
-    # Opt-in vectorized tree walk must agree too.
-    monkeypatch.setenv("REPRO_ENUM_KERNEL", "wordblock")
-    outcomes["numpy/wordblock"] = enumerate_embeddings_iterative(
-        query, data, np_candidates, order
-    )
     for label, outcome in outcomes.items():
         assert outcome.num_embeddings == reference.num_embeddings, label
         assert outcome.completed == reference.completed, label
@@ -297,14 +290,13 @@ def test_embedding_counts_agree_across_backends_and_kernels(
 @needs_numpy
 @pytest.mark.parametrize("case_index", range(0, len(E2E_CASES), 2))
 @pytest.mark.parametrize("limit", [1, 3])
-def test_limit_and_collect_agree_across_backends(case_index, limit, monkeypatch):
+def test_limit_and_collect_agree_across_backends(case_index, limit):
     query, data, candidates, order = E2E_CASES[case_index]
     nk = get_kernel("numpy")
     np_candidates = candidates.to_backend(nk, num_vertices=data.num_vertices)
     ref = enumerate_embeddings_iterative(
         query, data, candidates, order, limit=limit, collect=True
     )
-    monkeypatch.setenv("REPRO_ENUM_KERNEL", "wordblock")
     got = enumerate_embeddings_iterative(
         query, data, np_candidates, order, limit=limit, collect=True
     )
@@ -318,14 +310,13 @@ def test_limit_and_collect_agree_across_backends(case_index, limit, monkeypatch)
 
 
 @needs_numpy
-def test_full_collect_sets_agree_across_backends(monkeypatch):
+def test_full_collect_sets_agree_across_backends():
     query, data, candidates, order = E2E_CASES[0]
     nk = get_kernel("numpy")
     np_candidates = candidates.to_backend(nk, num_vertices=data.num_vertices)
     ref = enumerate_embeddings_iterative(
         query, data, candidates, order, collect=True
     )
-    monkeypatch.setenv("REPRO_ENUM_KERNEL", "wordblock")
     got = enumerate_embeddings_iterative(
         query, data, np_candidates, order, collect=True
     )
