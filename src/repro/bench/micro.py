@@ -2,16 +2,15 @@
 
 Times the kernels the matching algorithms spend their lives in —
 candidate generation, bitset intersection, single-query latency per
-matcher — plus the parallel-vs-serial executor comparison, and writes
-the lot to ``BENCH_micro.json``.  Run via ``python -m repro bench-micro``
-or :mod:`benchmarks.microbench`.
+matcher — plus the worker pool's overlap, and writes the lot to
+``BENCH_micro.json``.  Run via ``python -m repro bench-micro`` or
+:mod:`benchmarks.microbench`.
 
-The speedup section reports the machine's honest numbers: ``cpu_count``
-is recorded alongside, because CPU-bound queries cannot beat serial on a
-single core no matter how many workers overlap.  A second, sleep-bound
-workload (fault-injected delays) isolates the pool's *overlap* from the
-core count — it approaches ``jobs``× on any machine and catches
-serialisation bugs in the pool itself.
+The pool section is a sleep-bound workload (fault-injected delays): it
+isolates the pool's *overlap* from the core count — it approaches
+``jobs``× on any machine and catches serialisation bugs in the pool
+itself.  What the pool buys on CPU-bound queries is measured where it is
+served, by ``exec.pool_speedup`` in ``benchmarks/perf``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Callable
 from repro.core.algorithms import create_pipeline
 from repro.exec import faults
 from repro.exec.parallel import ParallelExecutor
-from repro.exec.pool import SubprocessExecutor
 from repro.graph.generators import generate_database
 from repro.matching import (
     CFLMatcher,
@@ -60,18 +58,6 @@ def _time_repeated(fn: Callable[[], object], repeats: int) -> dict:
         "min_s": min(samples),
         "repeats": repeats,
     }
-
-
-def _result_signature(result) -> tuple:
-    """The deterministic part of a QueryResult (timings excluded)."""
-    return (
-        result.algorithm,
-        result.query_name,
-        tuple(sorted(result.answers)),
-        tuple(sorted(result.candidates)),
-        result.timed_out,
-        result.failure.kind if result.failure is not None else None,
-    )
 
 
 def _bitset_kernels(db, queries, repeats: int) -> dict:
@@ -373,44 +359,15 @@ def _query_latency(db, queries, repeats: int) -> dict:
     return out
 
 
-def _run_serial(pipeline, queries, db, time_limit):
-    executor = SubprocessExecutor()
-    try:
-        t0 = time.perf_counter()
-        results = [executor.run(pipeline, q, db, time_limit) for q in queries]
-        return time.perf_counter() - t0, results
-    finally:
-        executor.close()
-
-
-def _run_parallel(pipeline, queries, db, time_limit, jobs):
+def _timed_pool(pipeline, queries, db, jobs):
+    """Seconds one ``jobs``-wide pool takes for the batch."""
     executor = ParallelExecutor(jobs=jobs)
     try:
         t0 = time.perf_counter()
-        results = executor.run_many(pipeline, queries, db, time_limit)
-        return time.perf_counter() - t0, results
+        executor.run_many(pipeline, queries, db, None)
+        return time.perf_counter() - t0
     finally:
         executor.close()
-
-
-def _parallel_speedup(db, queries, jobs: int, time_limit: float) -> dict:
-    """Serial one-worker pool vs ``jobs``-worker pool, same workload."""
-    pipeline = create_pipeline("CFQL")
-    serial_s, serial_results = _run_serial(pipeline, queries, db, time_limit)
-    parallel_s, parallel_results = _run_parallel(
-        pipeline, queries, db, time_limit, jobs
-    )
-    identical = [_result_signature(r) for r in serial_results] == [
-        _result_signature(r) for r in parallel_results
-    ]
-    return {
-        "queries": len(queries),
-        "jobs": jobs,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s > 0 else None,
-        "identical_results": identical,
-    }
 
 
 def _overlap_speedup(db, jobs: int, delay_s: float, count: int) -> dict:
@@ -426,8 +383,8 @@ def _overlap_speedup(db, jobs: int, delay_s: float, count: int) -> dict:
     faults.clear()
     try:
         faults.inject("query:start", "delay", arg=delay_s)
-        serial_s, _ = _run_serial(pipeline, queries, db, None)
-        parallel_s, _ = _run_parallel(pipeline, queries, db, None, jobs)
+        serial_s = _timed_pool(pipeline, queries, db, 1)
+        parallel_s = _timed_pool(pipeline, queries, db, jobs)
     finally:
         faults.clear()
     return {
@@ -505,24 +462,12 @@ def run_microbench(jobs: int = 4, quick: bool = False) -> dict:
             num_graphs=10, num_vertices=30, avg_degree=4, num_labels=4, seed=11
         )
         queries = generate_query_set(db, 6, False, size=4, seed=13).queries
-        speedup_db = generate_database(
-            num_graphs=20, num_vertices=60, avg_degree=6, num_labels=3, seed=17
-        )
-        speedup_queries = generate_query_set(
-            speedup_db, 10, False, size=6, seed=19
-        ).queries
         repeats, delay_s, delay_count = 3, 0.2, 6
     else:
         db = generate_database(
             num_graphs=30, num_vertices=60, avg_degree=6, num_labels=4, seed=11
         )
         queries = generate_query_set(db, 8, False, size=8, seed=13).queries
-        speedup_db = generate_database(
-            num_graphs=60, num_vertices=120, avg_degree=8, num_labels=3, seed=17
-        )
-        speedup_queries = generate_query_set(
-            speedup_db, 14, False, size=16, seed=19
-        ).queries
         repeats, delay_s, delay_count = 5, 0.5, 8
 
     report = {
@@ -534,10 +479,6 @@ def run_microbench(jobs: int = 4, quick: bool = False) -> dict:
         "workload": {
             "quick": quick,
             "kernel_db": f"{len(db)} graphs x ~{db.stats().avg_vertices:.0f} vertices",
-            "speedup_db": (
-                f"{len(speedup_db)} graphs x "
-                f"~{speedup_db.stats().avg_vertices:.0f} vertices"
-            ),
         },
         "bitset_kernels": _bitset_kernels(db, queries, repeats),
         "bitset_backend": _bitset_backend_bench(repeats, quick),
@@ -545,9 +486,6 @@ def run_microbench(jobs: int = 4, quick: bool = False) -> dict:
         "enumeration": _enumeration_kernels(db, queries, repeats),
         "plan_cache": _plan_cache_bench(queries, repeats),
         "query_latency": _query_latency(db, queries, repeats),
-        "parallel_speedup": _parallel_speedup(
-            speedup_db, speedup_queries, jobs, time_limit=60.0
-        ),
         "pool_overlap": _overlap_speedup(db, jobs, delay_s, delay_count),
         "warm_start": _warm_start(db, queries, repeats),
     }

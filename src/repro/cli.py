@@ -20,7 +20,7 @@ Subcommands
     checksums, format version, optionally the database fingerprint).
 ``repro bench-micro``
     Time the hot matching-path kernels (candidate generation, bitset
-    intersection, per-matcher query latency, parallel speedup, snapshot
+    intersection, per-matcher query latency, pool overlap, snapshot
     warm start vs cold rebuild) and write ``BENCH_micro.json``.
 ``repro serve``
     Run the long-running query service: load a database and warm-start
@@ -290,30 +290,28 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
     return status
 
 
-def _make_shard_executor_factory(args: argparse.Namespace):
-    """Per-shard executor factory from the shared CLI flags (or None for
-    in-process execution on every shard)."""
+def _executor_factory(args: argparse.Namespace):
+    """The one flags -> executor ladder (``query``/``serve``, sharded or
+    not): a constructor taking an optional shard index, or ``None`` for
+    the engine's in-process default — the only choice the process shard
+    host accepts, which is why the sharded callers need the ``None``."""
     from repro.exec import create_executor
 
-    memory_limit = args.memory_limit or None
     if getattr(args, "supervised", False):
-        return lambda i: create_executor(
-            "supervised", jobs=args.jobs, memory_limit_mb=memory_limit
-        )
-    if args.jobs > 1:
-        return lambda i: create_executor(
-            "parallel", jobs=args.jobs, memory_limit_mb=memory_limit
-        )
-    if getattr(args, "executor", "") == "subprocess":
-        return lambda i: create_executor(
-            "subprocess", memory_limit_mb=memory_limit
-        )
-    return None
+        name = "supervised"
+    elif args.jobs > 1:
+        name = "parallel"
+    elif getattr(args, "executor", "") == "subprocess":
+        name = "subprocess"  # the same pool with one worker
+    else:
+        return None
+    return lambda shard=None: create_executor(
+        name, jobs=args.jobs, memory_limit_mb=args.memory_limit or None
+    )
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.core import SubgraphQueryEngine, create_pipeline
-    from repro.exec import create_executor
     from repro.utils.errors import ConfigurationError
 
     if args.connect:
@@ -338,7 +336,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             db,
             args.shards,
             lambda: create_pipeline(args.algorithm),
-            executor_factory=_make_shard_executor_factory(args),
+            executor_factory=_executor_factory(args),
             cache=args.cache,
             store_root=args.index_store or None,
             shard_host=args.shard_host,
@@ -347,17 +345,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         store = None
     else:
         pipeline = create_pipeline(args.algorithm)
-        if args.jobs > 1:
-            executor = create_executor(
-                "parallel", jobs=args.jobs,
-                memory_limit_mb=args.memory_limit or None,
-            )
-        elif args.executor == "subprocess":
-            executor = create_executor(
-                "subprocess", memory_limit_mb=args.memory_limit or None
-            )
-        else:
-            executor = create_executor(args.executor)
+        make_executor = _executor_factory(args)
+        executor = make_executor() if make_executor else None
         store = None
         if args.index_store:
             from repro.store import IndexStore
@@ -578,7 +567,6 @@ def _cmd_bench_micro(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core import SubgraphQueryEngine, create_pipeline
-    from repro.exec import create_executor
     from repro.service.server import QueryService, ServiceConfig
 
     _check_sharded_store(args.index_store, args.shards)
@@ -590,7 +578,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             db,
             args.shards,
             lambda: create_pipeline(args.algorithm),
-            executor_factory=_make_shard_executor_factory(args),
+            executor_factory=_executor_factory(args),
             cache=args.cache,
             store_root=args.index_store or None,
             breaker_threshold=args.breaker_threshold,
@@ -601,17 +589,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine.build_index(time_limit=args.index_limit, fallback=args.fallback)
     else:
         pipeline = create_pipeline(args.algorithm)
-        executor = None
-        if args.supervised:
-            executor = create_executor(
-                "supervised", jobs=args.jobs,
-                memory_limit_mb=args.memory_limit or None,
-            )
-        elif args.jobs > 1:
-            executor = create_executor(
-                "parallel", jobs=args.jobs,
-                memory_limit_mb=args.memory_limit or None,
-            )
+        make_executor = _executor_factory(args)
+        executor = make_executor() if make_executor else None
         store = None
         if args.index_store:
             from repro.store import IndexStore

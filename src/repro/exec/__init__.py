@@ -5,10 +5,15 @@ harness and the query pipelines:
 
 * :mod:`repro.exec.base` — the :class:`QueryExecutor` protocol and the
   default cooperative :class:`InProcessExecutor`;
-* :mod:`repro.exec.pool` — :class:`SubprocessExecutor`, which runs each
-  query in a killable worker with hard wall-clock and memory limits;
-* :mod:`repro.exec.parallel` — :class:`ParallelExecutor`, which fans
-  query batches across a pool of such workers;
+* :mod:`repro.exec.worker` — the one worker-process primitive
+  (:class:`~repro.exec.worker.WorkerProcess`: a killable child on a
+  duplex pipe, ``recv`` with timeout and drain-after-death, ``scrap``;
+  :class:`~repro.exec.worker.RestartBackoff`; the hard-deadline rule)
+  that the pool below and the shard process host are both built on;
+* :mod:`repro.exec.parallel` — :class:`ParallelExecutor`, the pool: it
+  fans query batches across ``jobs`` such workers with hard wall-clock
+  and memory limits, crash containment and bounded retry;
+  :class:`SubprocessExecutor` is that pool with one worker;
 * :mod:`repro.exec.supervise` — :class:`SupervisedExecutor`, the
   service-grade pool with restart backoff and a restart-storm fuse;
 * :mod:`repro.exec.journal` — the append-only JSONL journal that makes
@@ -27,8 +32,7 @@ from repro.exec.base import (
     failure_result,
 )
 from repro.exec.journal import RunJournal
-from repro.exec.parallel import ParallelExecutor
-from repro.exec.pool import SubprocessExecutor
+from repro.exec.parallel import ParallelExecutor, SubprocessExecutor
 from repro.exec.supervise import SupervisedExecutor
 
 __all__ = [

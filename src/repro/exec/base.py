@@ -136,7 +136,7 @@ class InProcessExecutor(QueryExecutor):
     Containment is exception-level only: deadline expiry, memory-budget
     violations and unexpected exceptions become failure records, but a
     non-cooperative loop or real memory exhaustion is *not* stopped —
-    that is what :class:`~repro.exec.pool.SubprocessExecutor` is for.
+    that is what :class:`~repro.exec.parallel.SubprocessExecutor` is for.
     """
 
     def run(
@@ -160,13 +160,14 @@ def create_executor(name: str = "inprocess", **kwargs) -> QueryExecutor:
     """Instantiate an executor by configuration name.
 
     ``kwargs`` reach the executor constructor (e.g.
-    ``memory_limit_mb=512`` for the subprocess pool, ``jobs=4`` for the
-    parallel pool).
+    ``memory_limit_mb=512``, ``jobs=4``).  The three process-backed
+    names are one pool: ``subprocess`` is ``parallel`` with one worker,
+    ``supervised`` is ``parallel`` with respawn backoff and a storm fuse.
     """
     if name == "inprocess":
         return InProcessExecutor()
     if name == "subprocess":
-        from repro.exec.pool import SubprocessExecutor
+        from repro.exec.parallel import SubprocessExecutor
 
         return SubprocessExecutor(**kwargs)
     if name == "parallel":

@@ -1,29 +1,40 @@
-"""Parallel query execution across a pool of persistent workers.
+"""Process-isolated query execution: a pool of persistent, killable workers.
 
-:class:`ParallelExecutor` generalises the single-worker
-:class:`~repro.exec.pool.SubprocessExecutor` to ``jobs`` persistent
-worker processes, sharing the same worker loop, hard-limit machinery and
-failure taxonomy:
+:class:`ParallelExecutor` runs queries in ``jobs`` worker processes
+(:class:`~repro.exec.worker.WorkerProcess`), which is what makes the
+limits *hard* — the parent can kill what it cannot pre-empt:
 
-* the (pipeline, database) pair is serialized to each worker **once** per
-  binding — on Linux the ``fork`` start method shares the parent's copy
-  copy-on-write, so queries never re-pickle the data graphs;
-* every query result lands at its input position, so a parallel run
-  returns the exact sequence a serial run would (timings aside);
-* containment is per worker: a query that blows its hard wall-clock
-  budget gets its worker SIGKILLed and recorded as OOT while the other
-  workers keep draining the queue — one pathological query never stalls
-  the pool;
-* a worker that dies *before acknowledging* a query (it never started the
-  work) triggers a bounded, backed-off re-dispatch, exactly like the
-  serial executor's transient-retry path; consecutive startup failures
-  cap out at ``max_retries`` pool-wide and fail the remaining queries as
-  crashes rather than spinning forever.
+* **hard wall-clock timeout** — once a worker acknowledges a query the
+  parent waits :func:`~repro.exec.worker.hard_deadline` seconds
+  (``time_limit * 1.5 + 0.25`` by default) for the result, then SIGKILLs
+  that worker and records the query as OOT while the other workers keep
+  draining the queue — one pathological query never stalls the pool;
+* **memory cap** — workers apply ``resource.setrlimit(RLIMIT_AS)`` at
+  startup, so a runaway allocation raises ``MemoryError`` inside the
+  worker (recorded as OOM) instead of taking down the run;
+* **crash containment** — a worker that dies mid-query (segfault-
+  equivalent, injected ``os._exit``, OOM-killer) yields a ``crash``
+  failure for that one query; the pool respawns and the run continues;
+* **bounded retry** — a worker that dies *before acknowledging* a query
+  never started it, so the query is re-dispatched with exponential
+  backoff.  Every such death — met as a dead pipe on send or as an EOF a
+  millisecond later — costs the query it held exactly one of its
+  ``max_retries``; a query that runs out fails as a ``crash`` stamped
+  ``retries == max_retries``.  That budget is the only bound, and the
+  pool is sized by the work it can hand out *now* (in flight plus due),
+  so no worker is spawned to idle beside a query that is backing off.
+
+The (pipeline, database) pair is serialized to each worker **once** per
+binding — on Linux the ``fork`` start method shares the parent's copy
+copy-on-write, so queries never re-pickle the data graphs — and every
+result lands at its input position, so any pool width returns the exact
+sequence a pool of one would (timings aside).
 
 The pool is an event loop over :func:`multiprocessing.connection.wait`:
 dispatch is eager (a query is written to a spawning worker's pipe before
 the ``ready`` handshake arrives — the pipe buffers it), and all timeout
 accounting (startup, ack, hard wall-clock) is driven from the loop.
+:class:`SubprocessExecutor` is the same loop with one worker.
 """
 
 from __future__ import annotations
@@ -37,7 +48,16 @@ from typing import TYPE_CHECKING
 from repro.core.metrics import QueryFailure, QueryResult
 from repro.exec import faults
 from repro.exec.base import QueryExecutor, failure_result
-from repro.exec.pool import _preferred_context, _worker_main
+from repro.exec.worker import (
+    DEAD,
+    HARD_TIMEOUT_FACTOR,
+    HARD_TIMEOUT_GRACE,
+    TIMEOUT,
+    WorkerProcess,
+    hard_deadline,
+    preferred_context,
+    query_worker_main,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.pipeline import QueryPipeline
@@ -45,82 +65,65 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.graph.labeled_graph import Graph
     from repro.matching.plan import QueryPlan
 
-__all__ = ["ParallelExecutor"]
+__all__ = ["ParallelExecutor", "SubprocessExecutor"]
 
 
 class _Job:
-    """One query dispatched to one worker."""
+    """One query of a batch: queued, or dispatched to one worker."""
 
-    __slots__ = ("index", "retries", "sent_at", "acked_at")
+    __slots__ = ("index", "retries", "not_before", "sent_at", "acked_at")
 
-    def __init__(self, index: int, retries: int, sent_at: float) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.retries = retries
-        self.sent_at = sent_at
+        self.retries = 0
+        #: Earliest (re-)dispatch time; a retry pushes it out.
+        self.not_before = 0.0
+        self.sent_at = 0.0
         self.acked_at: float | None = None
 
 
-class _Worker:
-    """A persistent worker process and its dispatch state."""
+class _Worker(WorkerProcess):
+    """A pool worker: the process plus its dispatch state."""
 
     __slots__ = (
-        "proc", "conn", "ready", "ready_at", "spawned_at", "job", "exitcode",
-        "pid", "queries", "last_latency",
+        "ready", "ready_at", "spawned_at", "job", "queries", "last_latency",
     )
 
-    def __init__(self, proc, conn, spawned_at: float) -> None:
-        self.proc = proc
-        self.conn = conn
+    def __init__(self, ctx, args: tuple) -> None:
+        super().__init__(ctx, query_worker_main, args)
         self.ready = False
         self.ready_at: float | None = None
-        self.spawned_at = spawned_at
+        self.spawned_at = time.perf_counter()
         self.job: _Job | None = None
-        self.exitcode: int | None = None
-        #: Liveness bookkeeping surfaced by ``worker_stats`` (the pid
-        #: outlives ``proc``, which is dropped on scrap).
-        self.pid: int | None = proc.pid
+        #: Liveness bookkeeping surfaced by ``worker_stats``.
         self.queries = 0
         self.last_latency: float | None = None
-
-    @property
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.is_alive()
-
-    def scrap(self, kill: bool = False) -> None:
-        proc, conn = self.proc, self.conn
-        self.proc = self.conn = None
-        if proc is not None:
-            self.exitcode = proc.exitcode
-            if kill and proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5.0)
-            self.exitcode = proc.exitcode
-            if hasattr(proc, "close"):
-                proc.close()
-        if conn is not None:
-            conn.close()
 
 
 class ParallelExecutor(QueryExecutor):
     """Fans query batches across ``jobs`` persistent worker processes.
 
-    ``run`` degenerates to a batch of one; use
-    :class:`~repro.exec.pool.SubprocessExecutor` when single-query latency
-    matters more than batch throughput.
+    ``run`` is a batch of one.  ``time_limit=None`` means no hard
+    deadline either: the parent waits as long as the worker lives.
     """
+
+    #: Pool width when ``jobs`` is not given.
+    default_jobs = 4
 
     def __init__(
         self,
-        jobs: int = 4,
+        jobs: int | None = None,
         memory_limit_mb: int | None = None,
-        hard_timeout_factor: float = 1.5,
-        hard_timeout_grace: float = 0.25,
+        hard_timeout_factor: float = HARD_TIMEOUT_FACTOR,
+        hard_timeout_grace: float = HARD_TIMEOUT_GRACE,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
         startup_timeout: float = 60.0,
         ack_timeout: float = 30.0,
         start_method: str | None = None,
     ) -> None:
+        if jobs is None:
+            jobs = self.default_jobs
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = jobs
@@ -134,12 +137,14 @@ class ParallelExecutor(QueryExecutor):
         self._ctx = (
             multiprocessing.get_context(start_method)
             if start_method
-            else _preferred_context()
+            else preferred_context()
         )
         self._workers: list[_Worker] = []
         #: Identity of the (pipeline, db) the live pool was built from.
         self._bound: tuple[object, object] | None = None
-        #: Consecutive worker deaths before ``ready`` — a pool-wide fuse.
+        #: Consecutive worker deaths before ``ready`` (cleared by the next
+        #: handshake and by a rebind).  Reported with an exhausted retry
+        #: budget: it tells a pool that cannot start from one unlucky death.
         self._spawn_failures = 0
         self._last_exit: int | None = None
         #: Lifetime supervision counters (never reset by rebinds), the
@@ -153,18 +158,12 @@ class ParallelExecutor(QueryExecutor):
     # ------------------------------------------------------------------
 
     def _spawn_worker(self, pipeline: "QueryPipeline", db: "GraphDatabase") -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         limit_bytes = (
             self.memory_limit_mb * 1024 * 1024 if self.memory_limit_mb else None
         )
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, pipeline, db, limit_bytes, faults.active_specs()),
-            daemon=True,
+        worker = _Worker(
+            self._ctx, (pipeline, db, limit_bytes, faults.active_specs())
         )
-        proc.start()
-        child_conn.close()
-        worker = _Worker(proc, parent_conn, time.perf_counter())
         self._workers.append(worker)
         self.spawn_total += 1
         return worker
@@ -194,8 +193,12 @@ class ParallelExecutor(QueryExecutor):
         worker.last_latency = now - (job.acked_at or job.sent_at)
 
     def _fuse_blown(self) -> bool:
-        """Whether the pool must stop respawning and fail pending work."""
-        return self._spawn_failures > self.max_retries
+        """Whether the pool must stop respawning and fail pending work.
+
+        Never, here: each query's retry budget already bounds the spawns
+        it can cost.  The supervised pool adds a restart-storm fuse.
+        """
+        return False
 
     def _maintain_pool(self, pipeline: "QueryPipeline", db: "GraphDatabase",
                        want: int) -> None:
@@ -289,22 +292,18 @@ class ParallelExecutor(QueryExecutor):
             plans = [None] * len(queries)
         self._rebind(pipeline, db)
         results: list[QueryResult | None] = [None] * len(queries)
-        #: (query index, retries so far, earliest re-dispatch time)
-        pending: deque[tuple[int, int, float]] = deque(
-            (i, 0, 0.0) for i in range(len(queries))
-        )
+        pending: deque[_Job] = deque(_Job(i) for i in range(len(queries)))
         outstanding = len(queries)
-        hard = (
-            None
-            if time_limit is None
-            else time_limit * self.hard_timeout_factor + self.hard_timeout_grace
+        hard = hard_deadline(
+            time_limit, self.hard_timeout_factor, self.hard_timeout_grace
         )
 
-        def fail(index, retries, kind, message, query_time=0.0):
+        def fail(job: _Job, kind, message, query_time=0.0) -> None:
             nonlocal outstanding
-            failure = QueryFailure(kind=kind, message=message, retries=retries)
-            results[index] = failure_result(
-                pipeline.name, queries[index].name, failure, query_time=query_time
+            failure = QueryFailure(kind=kind, message=message, retries=job.retries)
+            results[job.index] = failure_result(
+                pipeline.name, queries[job.index].name, failure,
+                query_time=query_time,
             )
             outstanding -= 1
 
@@ -316,28 +315,30 @@ class ParallelExecutor(QueryExecutor):
             outstanding -= 1
 
         def requeue(job: _Job) -> None:
-            """Transient worker death: back off and re-dispatch, bounded."""
+            """The worker was lost before it acknowledged ``job``: the
+            query never started, so back off and re-dispatch, bounded."""
             if job.retries < self.max_retries:
-                not_before = time.perf_counter() + self.retry_backoff * (
+                job.not_before = time.perf_counter() + self.retry_backoff * (
                     2**job.retries
                 )
-                pending.append((job.index, job.retries + 1, not_before))
+                job.retries += 1
+                pending.append(job)
             else:
                 fail(
-                    job.index,
-                    job.retries,
+                    job,
                     "crash",
                     "worker died before starting the query "
-                    f"(exit code {self._last_exit})",
+                    f"(exit code {self._last_exit}; "
+                    f"{self._spawn_failures} consecutive start-up deaths)",
                 )
 
         def next_pending(now: float):
             """Earliest queued query whose backoff has elapsed, if any."""
             for _ in range(len(pending)):
-                item = pending.popleft()
-                if item[2] <= now:
-                    return item
-                pending.append(item)
+                job = pending.popleft()
+                if job.not_before <= now:
+                    return job
+                pending.append(job)
             return None
 
         def handle_message(worker: _Worker, msg, now: float) -> None:
@@ -355,26 +356,24 @@ class ParallelExecutor(QueryExecutor):
                     self._note_result(worker, job, now)
                     finish(job, msg[1])
 
-        def on_death(worker: _Worker, now: float) -> None:
-            """Classify a dead worker per the serial executor's rules."""
-            # Drain messages written before death (e.g. a result sent just
-            # as the process exited).
-            try:
-                while worker.conn is not None and worker.conn.poll(0):
-                    handle_message(worker, worker.conn.recv(), now)
-            except (EOFError, OSError):
-                pass
+        def lose(worker: _Worker, kill: bool, deliberate: bool) -> "_Job | None":
+            """Reap a failed worker; returns the job it held, if any."""
             job, worker.job = worker.job, None
             if not worker.ready:
                 self._spawn_failures += 1
-            self._record_failure_reap(worker, deliberate=False)
-            self._reap(worker, kill=False)
+            self._record_failure_reap(worker, deliberate)
+            self._reap(worker, kill)
+            return job
+
+        def on_death(worker: _Worker, now: float) -> None:
+            """The worker died on its own: mid-query is a crash for that
+            query, before the ack is transient."""
+            job = lose(worker, kill=False, deliberate=False)
             if job is None:
                 return
             if job.acked_at is not None:
                 fail(
-                    job.index,
-                    job.retries,
+                    job,
                     "crash",
                     f"worker died mid-query (exit code {self._last_exit})",
                     query_time=now - job.acked_at,
@@ -386,13 +385,10 @@ class ParallelExecutor(QueryExecutor):
             job = worker.job
             if job is not None and job.acked_at is not None:
                 if hard is not None and now - job.acked_at >= hard:
-                    worker.job = None
-                    self._record_failure_reap(worker, deliberate=True)
-                    self._reap(worker, kill=True)
+                    lose(worker, kill=True, deliberate=True)
                     elapsed = now - job.sent_at
                     fail(
-                        job.index,
-                        job.retries,
+                        job,
                         "oot",
                         f"hard timeout: worker SIGKILLed after {elapsed:.2f}s "
                         f"(limit {time_limit}s)",
@@ -401,10 +397,7 @@ class ParallelExecutor(QueryExecutor):
                 return
             if not worker.ready:
                 if now - worker.spawned_at >= self.startup_timeout:
-                    self._spawn_failures += 1
-                    worker.job = None
-                    self._record_failure_reap(worker, deliberate=False)
-                    self._reap(worker, kill=True)
+                    lose(worker, kill=True, deliberate=False)
                     if job is not None:
                         requeue(job)
                 return
@@ -413,69 +406,66 @@ class ParallelExecutor(QueryExecutor):
                 # request: the later of send time and the ready handshake.
                 since = max(job.sent_at, worker.ready_at or job.sent_at)
                 if now - since >= self.ack_timeout:
-                    worker.job = None
-                    self._record_failure_reap(worker, deliberate=True)
-                    self._reap(worker, kill=True)
+                    lose(worker, kill=True, deliberate=True)
                     requeue(job)
 
         while outstanding > 0:
             now = time.perf_counter()
 
-            # Keep the pool at strength while there is queued work.  The
-            # fuse and the respawn policy are both overridable hooks: the
-            # supervised executor adds backoff, a restart-storm fuse, and
-            # an idle sleep so a storming pool never busy-spins here.
+            # Size the pool by the work it can hand out now: queries in
+            # flight plus queued ones whose backoff has elapsed.  A worker
+            # spawned for a query still backing off would sit idle — and,
+            # under a persistent start-up crash, die without a job to
+            # charge the death to.  The fuse and the respawn policy are
+            # overridable hooks: the supervised executor adds backoff and
+            # a restart-storm fuse.
             fuse_blown = self._fuse_blown()
-            want = min(self.jobs, outstanding)
-            if not fuse_blown:
-                self._maintain_pool(pipeline, db, want)
+            if not fuse_blown and len(self._workers) < self.jobs:
+                busy = sum(w.job is not None for w in self._workers)
+                due = sum(job.not_before <= now for job in pending)
+                self._maintain_pool(pipeline, db, min(self.jobs, busy + due))
 
             # Eager dispatch: one job per idle worker; the pipe buffers the
             # request even before the worker's ready handshake arrives.
-            for w in self._workers:
+            for w in list(self._workers):
                 if w.job is not None:
                     continue
-                item = next_pending(now)
-                if item is None:
+                job = w.job = next_pending(now)
+                if job is None:
                     break
-                index, retries, _ = item
-                try:
-                    w.conn.send(("query", queries[index], time_limit, plans[index]))
-                    w.job = _Job(index, retries, now)
-                except (BrokenPipeError, OSError):
-                    if not w.ready:
-                        self._spawn_failures += 1
-                    self._record_failure_reap(w, deliberate=False)
-                    self._reap(w, kill=True)
-                    pending.appendleft((index, retries, now))
-                    break
+                job.sent_at, job.acked_at = now, None
+                if not w.send(
+                    ("query", queries[job.index], time_limit, plans[job.index])
+                ):
+                    # A pipe already dead on send is the same event as a
+                    # death noticed before the ack: one requeue path.
+                    on_death(w, now)
 
             if not self._workers:
                 if fuse_blown:
                     # Nothing in flight, nothing spawnable: fail the rest.
                     while pending:
-                        index, retries, _ = pending.popleft()
                         fail(
-                            index,
-                            retries,
+                            pending.popleft(),
                             "crash",
                             "worker pool could not start "
                             f"(exit code {self._last_exit})",
                         )
+                else:
+                    # Everything queued is backing off (or the respawn
+                    # policy is): wait a slice instead of busy-spinning.
+                    time.sleep(0.01)
                 continue
 
             readable = set(_conn_wait([w.conn for w in self._workers], timeout=0.05))
             now = time.perf_counter()
             for w in list(self._workers):
-                if w.conn in readable:
-                    try:
-                        msg = w.conn.recv()
-                    except (EOFError, OSError):
+                if w.conn in readable or not w.alive:
+                    msg = w.recv(0)
+                    if msg is DEAD:
                         on_death(w, now)
-                        continue
-                    handle_message(w, msg, now)
-                elif not w.alive:
-                    on_death(w, now)
+                    elif msg is not TIMEOUT:
+                        handle_message(w, msg, now)
                 else:
                     check_timeouts(w, now)
 
@@ -491,15 +481,17 @@ class ParallelExecutor(QueryExecutor):
 
     def close(self) -> None:
         for w in self._workers:
-            if w.conn is not None:
-                try:
-                    w.conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
+            w.send(("stop",))
         # Grace period: let workers read the stop message and exit on
         # their own (exit code 0) before the scrap falls back to kill.
         deadline = time.perf_counter() + 5.0
         for w in self._workers:
-            if w.proc is not None:
-                w.proc.join(timeout=max(0.0, deadline - time.perf_counter()))
+            w.proc.join(timeout=max(0.0, deadline - time.perf_counter()))
         self._scrap_all()
+
+
+class SubprocessExecutor(ParallelExecutor):
+    """The pool of one: each query in a single persistent, killable worker
+    (``--executor subprocess``).  Same loop, same limits, ``jobs=1``."""
+
+    default_jobs = 1

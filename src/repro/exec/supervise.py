@@ -5,10 +5,10 @@ a :class:`~repro.exec.parallel.ParallelExecutor` whose respawn policy is
 hardened for a *long-lived* process:
 
 * **exponential restart backoff** — consecutive worker failures (crashes,
-  hard-timeout kills, hung acks) delay the next respawn by
-  ``respawn_backoff * 2**(n-1)`` seconds, capped at
-  ``respawn_backoff_max``, so a poison workload cannot turn the pool
-  into a fork bomb;
+  hard-timeout kills, hung acks) delay the next respawn by a
+  :class:`~repro.exec.worker.RestartBackoff` (``respawn_backoff``
+  doubling per failure, capped at ``respawn_backoff_max``), so a poison
+  workload cannot turn the pool into a fork bomb;
 * **restart-storm fuse** — ``storm_threshold`` failures inside a sliding
   ``storm_window`` trip the fuse: respawns stop for ``storm_cooldown``
   seconds and pending queries fail fast as ``crash`` instead of queueing
@@ -32,6 +32,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.exec.parallel import ParallelExecutor, _Worker
+from repro.exec.worker import RestartBackoff
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.pipeline import QueryPipeline
@@ -56,21 +57,26 @@ class SupervisedExecutor(ParallelExecutor):
         super().__init__(*args, **kwargs)
         if storm_threshold < 1:
             raise ValueError("storm_threshold must be at least 1")
-        self.respawn_backoff = respawn_backoff
-        self.respawn_backoff_max = respawn_backoff_max
         self.storm_threshold = storm_threshold
         self.storm_window = storm_window
         self.storm_cooldown = storm_cooldown
-        #: Failures since the last successful result (drives backoff).
-        self._consecutive_failures = 0
+        #: Failures since the last successful result hold respawns back.
+        self._backoff = RestartBackoff(respawn_backoff, respawn_backoff_max)
         #: perf_counter timestamps of recent failures (drives the fuse).
         self._failure_times: deque[float] = deque()
-        #: Earliest perf_counter time the next respawn may happen.
-        self._next_spawn_at = 0.0
         #: While now < this, the storm fuse is tripped: no respawns, and
         #: ``_fuse_blown`` fails pending work fast.
         self._storm_until = 0.0
         self.storm_trips = 0
+
+    @property
+    def _consecutive_failures(self) -> int:
+        return self._backoff.failures
+
+    @property
+    def _next_spawn_at(self) -> float:
+        """Earliest ``time.monotonic()`` of the next respawn (0.0: now)."""
+        return self._backoff.not_before
 
     # ------------------------------------------------------------------
     # Supervision hooks
@@ -78,13 +84,8 @@ class SupervisedExecutor(ParallelExecutor):
 
     def _record_failure_reap(self, worker: _Worker, deliberate: bool) -> None:
         super()._record_failure_reap(worker, deliberate)
+        self._backoff.failure()
         now = time.perf_counter()
-        self._consecutive_failures += 1
-        backoff = min(
-            self.respawn_backoff * 2 ** min(self._consecutive_failures - 1, 6),
-            self.respawn_backoff_max,
-        )
-        self._next_spawn_at = max(self._next_spawn_at, now + backoff)
         self._failure_times.append(now)
         while self._failure_times and self._failure_times[0] < now - self.storm_window:
             self._failure_times.popleft()
@@ -96,29 +97,22 @@ class SupervisedExecutor(ParallelExecutor):
     def _note_result(self, worker, job, now: float) -> None:
         super()._note_result(worker, job, now)
         # A healthy answer proves the pool can hold workers again.
-        self._consecutive_failures = 0
-        self._next_spawn_at = 0.0
+        self._backoff.success()
 
     def _fuse_blown(self) -> bool:
         # During a storm the pool refuses to respawn; once no workers are
         # left, pending queries must fail fast as crashes rather than wait
         # out the cooldown — the breaker upstairs handles the rest.
-        return super()._fuse_blown() or time.perf_counter() < self._storm_until
+        return time.perf_counter() < self._storm_until
 
     def _maintain_pool(
         self, pipeline: "QueryPipeline", db: "GraphDatabase", want: int
     ) -> None:
-        now = time.perf_counter()
-        if now < self._next_spawn_at:
-            if not self._workers:
-                # Nothing live and nothing spawnable yet: sleep a slice of
-                # the backoff so the event loop does not busy-spin.
-                time.sleep(min(self._next_spawn_at - now, 0.05))
-            return
-        if len(self._workers) < want:
+        if len(self._workers) < want and self._backoff.ready():
             # One worker per pass: each spawn must survive long enough to
             # produce a result (resetting the backoff) before the pool
-            # returns to full strength — the probe pattern.
+            # returns to full strength — the probe pattern.  (While the
+            # backoff holds an empty pool back, the event loop idles.)
             self._spawn_worker(pipeline, db)
 
     # ------------------------------------------------------------------
@@ -133,6 +127,6 @@ class SupervisedExecutor(ParallelExecutor):
             consecutive_failures=self._consecutive_failures,
             storm_trips=self.storm_trips,
             storm_active=now < self._storm_until,
-            next_spawn_backoff_s=max(0.0, self._next_spawn_at - now),
+            next_spawn_backoff_s=max(0.0, self._next_spawn_at - time.monotonic()),
         )
         return stats

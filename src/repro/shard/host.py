@@ -3,11 +3,12 @@
 The threaded shard fleet (PR 9) runs every shard engine inside the
 router's process, so CPU-bound matching gains almost nothing from adding
 shards — the GIL serialises the per-shard work.  This module moves each
-shard into its own persistent worker process, following the
-``SubprocessExecutor``/``SupervisedExecutor`` playbook in ``repro.exec``
-(persistent workers bound over a duplex pipe, ack-before-work dispatch,
-drain-after-death receive, crash containment with exponential respawn
-backoff) but at *shard* granularity: the child owns the whole shard —
+shard into its own persistent worker process, built on the same
+:class:`~repro.exec.worker.WorkerProcess` primitive as the query pool in
+``repro.exec`` (a killable child on a duplex pipe, ack-before-work
+dispatch, drain-after-death receive, a hard deadline on limited work,
+respawn behind a :class:`~repro.exec.worker.RestartBackoff`) but at
+*shard* granularity: the child owns the whole shard —
 its pipeline, its index, its ``IndexStore`` subdirectory, and its
 write-ahead mutation log — and the parent keeps only a lightweight
 mirror of the shard's database for routing, rebalancing, and summaries.
@@ -37,8 +38,20 @@ router flags the merged results partial, exactly like a downed thread
 shard — and the next dispatch respawns the worker from its frozen base
 partition (store mode: WAL recovery replays every acknowledged mutation,
 so the respawned shard answers bit-identically) or from the parent's
-current mirror (storeless mode).  Consecutive spawn failures back off
-exponentially, mirroring :class:`~repro.exec.supervise.SupervisedExecutor`.
+current mirror (storeless mode).  Consecutive failures back off
+exponentially.
+
+Hang semantics: a *query* exchange that carries a ``time_limit`` waits
+for its reply at most :func:`~repro.exec.worker.hard_deadline` of the
+batch's budget (``time_limit`` per query — the same factor and grace the
+query pool kills at); past that the worker has stopped polling its
+deadline, so it is SIGKILLed and the exchange fails like a crash — the
+router flags the batch partial instead of the whole scatter-gather (and
+every mutation queued on that shard's lock) hanging with it.
+``time_limit=None`` waits as long as the worker lives, exactly as the
+pool does.  Mutation and compaction exchanges are never bounded: they
+carry no budget to derive a deadline from, and killing a worker
+mid-journal-append would turn a slow disk into a lost shard.
 
 Fault sites: ``shard.worker:start`` fires in the child before ``ready``
 (startup-failure tests) and ``shard.worker.query`` fires per dispatched
@@ -51,11 +64,17 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.exec import faults
-from repro.exec.pool import _preferred_context
+from repro.exec.worker import (
+    DEAD,
+    TIMEOUT,
+    RestartBackoff,
+    WorkerProcess,
+    hard_deadline,
+    preferred_context,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.metrics import QueryResult
@@ -64,9 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.graph.labeled_graph import Graph
 
 __all__ = ["ShardProcessHost", "ShardWorkerError", "recover_summary"]
-
-_DEAD = object()
-_TIMEOUT = object()
 
 
 class ShardWorkerError(RuntimeError):
@@ -233,12 +249,12 @@ def _shard_worker_main(
 
 
 class _Worker:
-    """Parent-side record of one shard's worker process."""
+    """Parent-side record of one shard: it outlives the processes that
+    serve it (``process`` is replaced on every respawn)."""
 
     __slots__ = (
-        "index", "proc", "conn", "lock", "store_dir", "db_supplier",
-        "on_ready", "spawns", "restarts", "failures", "not_before",
-        "last_exitcode", "pid",
+        "index", "process", "lock", "store_dir", "db_supplier", "on_ready",
+        "spawns", "restarts", "backoff",
     )
 
     def __init__(
@@ -247,10 +263,10 @@ class _Worker:
         store_dir,
         db_supplier: "Callable[[], GraphDatabase]",
         on_ready: "Callable[[dict], None] | None",
+        backoff: RestartBackoff,
     ) -> None:
         self.index = index
-        self.proc = None
-        self.conn = None
+        self.process: WorkerProcess | None = None
         #: Serialises whole request/response exchanges: the router's
         #: fan-out thread and a concurrent mutation must not interleave
         #: messages on one pipe.
@@ -260,15 +276,8 @@ class _Worker:
         self.on_ready = on_ready
         self.spawns = 0
         self.restarts = 0
-        #: Consecutive spawn/exchange failures, drives the backoff.
-        self.failures = 0
-        #: Monotonic time before which respawn attempts are refused.
-        self.not_before = 0.0
-        self.last_exitcode: int | None = None
-        self.pid: int | None = None
-
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.is_alive()
+        #: Consecutive spawn/exchange failures hold the next respawn back.
+        self.backoff = backoff
 
 
 class ShardProcessHost:
@@ -303,7 +312,7 @@ class ShardProcessHost:
         self._ack_timeout = ack_timeout
         self._respawn_backoff = respawn_backoff
         self._respawn_backoff_max = respawn_backoff_max
-        self._ctx = _preferred_context()
+        self._ctx = preferred_context()
         self._workers: dict[int, _Worker] = {}
 
     # ------------------------------------------------------------------
@@ -324,7 +333,10 @@ class ShardProcessHost:
         built, and a shard that cannot start is a configuration problem
         the caller must see.
         """
-        worker = _Worker(index, store_dir, db_supplier, on_ready)
+        worker = _Worker(
+            index, store_dir, db_supplier, on_ready,
+            RestartBackoff(self._respawn_backoff, self._respawn_backoff_max),
+        )
         self._workers[index] = worker
         return self._spawn(worker)
 
@@ -334,12 +346,9 @@ class ShardProcessHost:
         if worker is None:
             return
         with worker.lock:
-            if worker.conn is not None:
-                try:
-                    worker.conn.send(("stop", None))
-                except (BrokenPipeError, OSError):
-                    pass
-            self._scrap(worker, kill=True)
+            if worker.process is not None:
+                worker.process.send(("stop", None))
+                worker.process.scrap(kill=True)
 
     def close(self) -> None:
         for index in list(self._workers):
@@ -350,11 +359,10 @@ class ShardProcessHost:
     # ------------------------------------------------------------------
 
     def _spawn(self, worker: _Worker) -> dict:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(
-                child_conn,
+        worker.process = process = WorkerProcess(
+            self._ctx,
+            _shard_worker_main,
+            (
                 worker.index,
                 worker.db_supplier(),
                 self._pipeline_factory(),
@@ -363,131 +371,73 @@ class ShardProcessHost:
                 self._cache,
                 faults.active_specs(),
             ),
-            daemon=True,
             name=f"repro-shard-worker-{worker.index}",
         )
-        proc.start()
-        child_conn.close()
-        worker.proc, worker.conn = proc, parent_conn
         worker.spawns += 1
-        worker.pid = proc.pid
-        msg = self._recv(worker, self._ready_timeout)
-        if msg is _DEAD or msg is _TIMEOUT or msg[0] != "ready":
-            self._scrap(worker, kill=True)
-            self._note_failure(worker)
-            raise ShardWorkerError(
-                f"shard {worker.index} worker failed to start "
-                f"(exit code {worker.last_exitcode})"
-            )
-        worker.failures = 0
-        worker.not_before = 0.0
+        msg = process.recv(self._ready_timeout)
+        if msg is DEAD or msg is TIMEOUT or msg[0] != "ready":
+            raise self._lost(worker, "failed to start")
+        worker.backoff.success()
         info = msg[1]
         if worker.on_ready is not None:
             worker.on_ready(info)
         return info
 
-    def _scrap(self, worker: _Worker, kill: bool = False) -> None:
-        proc, conn = worker.proc, worker.conn
-        worker.proc = worker.conn = None
-        if proc is not None:
-            worker.last_exitcode = proc.exitcode
-            if kill and proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5.0)
-            worker.last_exitcode = proc.exitcode
-            if hasattr(proc, "close"):
-                proc.close()
-        if conn is not None:
-            conn.close()
-
-    def _note_failure(self, worker: _Worker) -> None:
-        worker.failures += 1
-        backoff = min(
-            self._respawn_backoff * (2 ** min(worker.failures - 1, 6)),
-            self._respawn_backoff_max,
+    def _lost(self, worker: _Worker, what: str) -> ShardWorkerError:
+        """Reap a failed worker (killing it if it is somehow still alive)
+        and start its backoff; returns the error for the caller to raise."""
+        worker.process.scrap(kill=True)
+        worker.backoff.failure()
+        return ShardWorkerError(
+            f"shard {worker.index} worker {what} "
+            f"(exit code {worker.process.exitcode})"
         )
-        worker.not_before = time.monotonic() + backoff
 
-    def _ensure(self, worker: _Worker) -> None:
+    def _ensure(self, worker: _Worker) -> WorkerProcess:
         """A live worker, respawning if needed; raises on backoff/failure."""
-        if worker.alive():
-            return
-        self._scrap(worker)
-        if time.monotonic() < worker.not_before:
-            raise ShardWorkerError(
-                f"shard {worker.index} worker in respawn backoff "
-                f"(consecutive failures: {worker.failures})"
-            )
-        worker.restarts += 1
-        self._spawn(worker)  # raises ShardWorkerError on startup failure
+        if not worker.process.alive:
+            worker.process.scrap()
+            if not worker.backoff.ready():
+                raise ShardWorkerError(
+                    f"shard {worker.index} worker in respawn backoff "
+                    f"(consecutive failures: {worker.backoff.failures})"
+                )
+            worker.restarts += 1
+            self._spawn(worker)  # raises ShardWorkerError on startup failure
+        return worker.process
 
-    def _recv(self, worker: _Worker, timeout: float | None):
-        """One message, or ``_DEAD``/``_TIMEOUT``; polls in 50ms steps and
-        drains anything written just before the process died."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        while True:
-            try:
-                if worker.conn.poll(0.05):
-                    return worker.conn.recv()
-            except (EOFError, OSError):
-                return _DEAD
-            if worker.proc is None or not worker.proc.is_alive():
-                try:
-                    if worker.conn.poll(0):
-                        return worker.conn.recv()
-                except (EOFError, OSError):
-                    pass
-                return _DEAD
-            if deadline is not None and time.perf_counter() >= deadline:
-                return _TIMEOUT
-
-    def _worker(self, index: int) -> _Worker:
-        try:
-            return self._workers[index]
-        except KeyError:
-            raise ShardWorkerError(
-                f"shard {index} is not registered with this host"
-            ) from None
-
-    def _exchange(self, index: int, message: tuple, expect_ack: bool = False):
+    def _exchange(
+        self, index: int, message: tuple, *,
+        expect_ack: bool = False, reply_timeout: float | None = None,
+    ):
         """Send one request and return its reply payload, crash-contained.
 
         Raises :class:`ShardWorkerError` when the worker is (or becomes)
-        unavailable; re-raises the child's own exception when the reply
-        is ``("error", exc)`` — a *logical* failure from a live worker,
+        unavailable — dead, or silent past ``reply_timeout`` and killed
+        for it; re-raises the child's own exception when the reply is
+        ``("error", exc)`` — a *logical* failure from a live worker,
         which therefore resets the supervision counters.
         """
-        worker = self._worker(index)
+        worker = self._workers.get(index)
+        if worker is None:
+            raise ShardWorkerError(f"shard {index} is not registered with this host")
         with worker.lock:
-            self._ensure(worker)
-            try:
-                worker.conn.send(message)
-            except (BrokenPipeError, OSError):
-                self._scrap(worker, kill=True)
-                self._note_failure(worker)
-                raise ShardWorkerError(
-                    f"shard {index} worker pipe broke on send"
-                ) from None
+            process = self._ensure(worker)
+            if not process.send(message):
+                raise self._lost(worker, "pipe broke on send")
             if expect_ack:
-                ack = self._recv(worker, self._ack_timeout)
-                if ack is _DEAD or ack is _TIMEOUT:
-                    self._scrap(worker, kill=True)
-                    self._note_failure(worker)
-                    raise ShardWorkerError(
-                        f"shard {index} worker died before acknowledging "
-                        f"the batch (exit code {worker.last_exitcode})"
-                    )
-            reply = self._recv(worker, None)
-            if reply is _DEAD:
-                self._scrap(worker)
-                self._note_failure(worker)
-                raise ShardWorkerError(
-                    f"shard {index} worker died mid-request "
-                    f"(exit code {worker.last_exitcode})"
+                ack = process.recv(self._ack_timeout)
+                if ack is DEAD or ack is TIMEOUT:
+                    raise self._lost(worker, "died before acknowledging the batch")
+            reply = process.recv(reply_timeout)
+            if reply is DEAD:
+                raise self._lost(worker, "died mid-request")
+            if reply is TIMEOUT:
+                raise self._lost(
+                    worker, f"hung past its hard deadline ({reply_timeout:.2f}s)"
                 )
             kind, payload = reply
-            worker.failures = 0
-            worker.not_before = 0.0
+            worker.backoff.success()
             if kind == "error":
                 raise payload
             return payload
@@ -499,8 +449,12 @@ class ShardProcessHost:
     def query_many(
         self, index: int, queries: "list[Graph]", time_limit: float | None
     ) -> "list[QueryResult]":
+        # The child runs the batch serially, each query under its own
+        # ``time_limit``, so the batch's budget is their sum.
+        budget = None if time_limit is None else time_limit * len(queries)
         return self._exchange(
-            index, ("query", queries, time_limit), expect_ack=True
+            index, ("query", queries, time_limit),
+            expect_ack=True, reply_timeout=hard_deadline(budget),
         )
 
     def add_graph(
@@ -527,11 +481,11 @@ class ShardProcessHost:
     def worker_row(self, index: int) -> dict:
         """Liveness row for ``stats``: pid / alive / spawns / restarts."""
         worker = self._workers.get(index)
-        if worker is None:
+        if worker is None or worker.process is None:
             return {"pid": None, "alive": False, "spawns": 0, "restarts": 0}
         return {
-            "pid": worker.pid,
-            "alive": worker.alive(),
+            "pid": worker.process.pid,
+            "alive": worker.process.alive,
             "spawns": worker.spawns,
             "restarts": worker.restarts,
         }

@@ -20,8 +20,7 @@ import pytest
 from helpers import nx_contains
 from repro.core import create_engine
 from repro.exec import faults
-from repro.exec.parallel import ParallelExecutor
-from repro.exec.pool import SubprocessExecutor
+from repro.exec.parallel import ParallelExecutor, SubprocessExecutor
 from repro.graph import Graph
 
 
@@ -54,6 +53,13 @@ def run_serial(small_db, queries, time_limit=30.0):
         return eng.query_many(queries, time_limit=time_limit)
 
 
+def run_inprocess(small_db, queries, time_limit=30.0):
+    """The reference no worker process touches: same engine, no pool."""
+    with create_engine(small_db, "CFQL") as eng:
+        eng.build_index()
+        return eng.query_many(queries, time_limit=time_limit)
+
+
 def run_parallel(small_db, queries, time_limit=30.0, jobs=3, **kwargs):
     executor = ParallelExecutor(jobs=jobs, **kwargs)
     with create_engine(small_db, "CFQL", executor=executor) as eng:
@@ -68,6 +74,10 @@ class TestSerialParity:
         parallel = run_parallel(small_db, queries)
         assert [signature(r) for r in parallel] == [signature(r) for r in serial]
         assert all(r.failure is None for r in parallel)
+        # The serial arm is the same pool with one worker, so pin both to
+        # a reference that shares none of its code.
+        reference = run_inprocess(small_db, queries)
+        assert [signature(r) for r in parallel] == [signature(r) for r in reference]
 
     def test_results_keep_input_order(self, small_db):
         queries = [named_square(f"q{i}") for i in range(8)]
@@ -151,6 +161,29 @@ class TestContainment:
         assert all(r.failure is not None for r in results)
         assert all(r.failure.kind == "crash" for r in results)
         assert elapsed < 30.0
+
+    def test_persistent_startup_crash_spends_every_retry_budget(self, small_db):
+        """The ``jobs=2`` twin of the pool-of-one test in
+        ``test_exec_subprocess``: every start-up death that held a query
+        costs that query exactly one retry — however the deaths interleave
+        across workers, and whether the parent met them as a dead pipe on
+        send or as an EOF — so every query of the batch (more queries than
+        workers) fails stamped with its full budget."""
+        faults.inject("worker:start", "crash")
+        executor = ParallelExecutor(jobs=2, max_retries=2, retry_backoff=0.01)
+        with create_engine(small_db, "CFQL", executor=executor) as eng:
+            eng.build_index()
+            results = eng.query_many(
+                [named_square(f"q{i}") for i in range(3)], time_limit=30.0
+            )
+            for result in results:
+                assert result.failure is not None
+                assert result.failure.kind == "crash"
+                assert result.failure.retries == executor.max_retries
+                assert "before starting" in result.failure.message
+            # One spawn per dispatch, none to idle beside a backing-off query.
+            assert executor.spawn_total == 3 * (executor.max_retries + 1)
+            assert executor._workers == []
 
 
 class TestWorkerReuse:

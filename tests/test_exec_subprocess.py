@@ -13,7 +13,7 @@ import pytest
 from helpers import nx_contains
 from repro.core import create_engine
 from repro.exec import faults
-from repro.exec.pool import SubprocessExecutor
+from repro.exec.parallel import SubprocessExecutor
 from repro.graph import Graph
 
 
@@ -48,9 +48,9 @@ class TestBasics:
 
     def test_worker_is_reused_across_queries(self, engine):
         engine.query(named_square("q0"), time_limit=30.0)
-        first_pid = engine.executor._proc.pid
+        first_pid = engine.executor.worker_stats()["live"][0]["pid"]
         engine.query(named_square("q1"), time_limit=30.0)
-        assert engine.executor._proc.pid == first_pid
+        assert engine.executor.worker_stats()["live"][0]["pid"] == first_pid
 
     def test_unlimited_time_works(self, engine):
         result = engine.query(named_square("q0"))

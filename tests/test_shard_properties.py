@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import create_engine, create_pipeline
 from repro.exec import create_executor, faults
+from repro.exec.worker import hard_deadline
 from repro.graph import GraphDatabase, generate_database
 from repro.graph.labeled_graph import Graph
 from repro.shard import ShardedEngine
@@ -227,6 +228,64 @@ def test_process_host_crash_respawns_bit_identical(
                 assert sorted(result.answers) == answers
                 assert sorted(result.candidates) == candidates
             assert engine.shard_stats()[1]["host"]["restarts"] >= 1
+    finally:
+        faults.clear()
+
+
+@pytest.mark.parametrize("with_store", [False, True])
+def test_process_host_hung_worker_is_killed_at_the_hard_deadline(
+    workload, tmp_path, with_store
+):
+    """A shard worker that stops polling its deadline must not hold the
+    scatter-gather past the query's time limit: the host SIGKILLs it at
+    the pool's hard deadline, the batch degrades to a flagged partial with
+    the sibling's answers intact, and the next dispatch respawns the shard
+    — replaying its journal when it has one — to bit-identical answers."""
+    db, queries = workload
+    extra = generate_database(
+        num_graphs=3, num_vertices=10, avg_degree=2.5, num_labels=4, seed=78,
+    )
+    mirror = GraphDatabase(name="mutated")
+    for gid, graph in db.items():
+        mirror.add_graph_with_id(gid, graph)
+    faults.inject(
+        "shard.worker.query", "spin", arg=8.0, match="shard-1",
+        latch=str(tmp_path / "spin.latch"),
+    )
+    limit = 0.2
+    try:
+        with process_sharded(
+            db, 2, store_root=(tmp_path / "store") if with_store else None
+        ) as engine:
+            engine.build_index()
+            for _, graph in extra.items():  # acknowledged before the hang
+                mirror.add_graph_with_id(engine.add_graph(graph), graph)
+            with create_engine(mirror, ALGORITHM) as ref:
+                ref.build_index()
+                expected = ref.query_many(queries)
+            downed_gids = set(engine._shards[1].engine.db.ids())
+
+            started = time.perf_counter()
+            result = engine.query(queries[0], time_limit=limit)
+            elapsed = time.perf_counter() - started
+            assert elapsed < 2 * hard_deadline(limit)  # not the 8 s spin
+            assert result.failure is None
+            assert result.metadata["partial"]
+            assert result.metadata["missing_shards"] == [1]
+            got, want = set(result.answers), set(expected[0].answers)
+            assert got <= want
+            assert want - got <= downed_gids  # the sibling's are all there
+            row = engine._host.worker_row(1)
+            assert not row["alive"] and row["restarts"] == 0
+
+            time.sleep(0.3)  # clear the respawn backoff window
+            healed = engine.query_many(queries, time_limit=30.0)
+            for result, ref_result in zip(healed, expected):
+                assert not result.metadata.get("partial")
+                assert sorted(result.answers) == sorted(ref_result.answers)
+                assert sorted(result.candidates) == sorted(ref_result.candidates)
+            row = engine._host.worker_row(1)
+            assert row["alive"] and row["restarts"] == 1 and row["spawns"] == 2
     finally:
         faults.clear()
 
