@@ -1050,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-max", type=_positive_int, default=8, metavar="N",
-        help="most queries coalesced into one executor dispatch",
+        help="most requests in flight on the engine at once",
     )
     serve.add_argument(
         "--result-cache", type=int, default=128, metavar="CAPACITY",

@@ -11,13 +11,14 @@ Tables VII/IX.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.cache import CachingPipeline
 from repro.core.metrics import QueryResult
 from repro.core.pipeline import QueryPipeline, fallback_pipeline
 from repro.exec import faults
-from repro.exec.base import InProcessExecutor, QueryExecutor
+from repro.exec.base import InProcessExecutor, QueryExecutor, gather
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import Graph
 from repro.matching.plan import PlanCache, QueryPlan
@@ -115,6 +116,8 @@ class SubgraphQueryEngine:
         self.recovered_request_keys: list[tuple[str, str, int]] = []
         #: Number of successful :meth:`compact_store` runs.
         self.compactions: int = 0
+        #: Plan-cache outcome per submitted, not yet collected ticket.
+        self._plan_outcomes: dict[int, str] = {}
 
     @property
     def name(self) -> str:
@@ -314,36 +317,7 @@ class SubgraphQueryEngine:
             return None, "off"
         return self.plans.get(query)
 
-    def query(self, query: Graph, time_limit: float | None = None) -> QueryResult:
-        """Answer one subgraph query (Definition II.2).
-
-        ``time_limit`` is the per-query budget; on expiry the returned
-        result is flagged ``timed_out`` with whatever was computed so far.
-        """
-        if query.num_vertices == 0:
-            raise ConfigurationError("query graph must have at least one vertex")
-        if not self._index_built:
-            raise ConfigurationError(
-                f"{self.name} requires build_index() before querying"
-            )
-        plan, outcome = self._plan_for(query)
-        result = self._annotate(
-            self.executor.run(self.pipeline, query, self.db, time_limit, plan=plan)
-        )
-        result.metadata["plan_cache"] = outcome
-        return result
-
-    def query_many(
-        self, queries: list[Graph], time_limit: float | None = None
-    ) -> list[QueryResult]:
-        """Answer a whole query set with a per-query time limit.
-
-        Routed through the executor's batch entry point, so a pool
-        executor fans the set across its workers; results always come
-        back in input order.  Each query is compiled (or fetched from the
-        plan cache) exactly once here — a batch repeating one query ships
-        one shared plan to every worker.
-        """
+    def _check_queryable(self, queries: list[Graph]) -> None:
         for q in queries:
             if q.num_vertices == 0:
                 raise ConfigurationError("query graph must have at least one vertex")
@@ -351,20 +325,58 @@ class SubgraphQueryEngine:
             raise ConfigurationError(
                 f"{self.name} requires build_index() before querying"
             )
-        planned = [self._plan_for(q) for q in queries]
-        results = [
-            self._annotate(r)
-            for r in self.executor.run_many(
-                self.pipeline,
-                queries,
-                self.db,
-                time_limit,
-                plans=[plan for plan, _ in planned],
-            )
-        ]
-        for result, (_, outcome) in zip(results, planned):
-            result.metadata["plan_cache"] = outcome
-        return results
+
+    def query(self, query: Graph, time_limit: float | None = None) -> QueryResult:
+        """Answer one subgraph query (Definition II.2).
+
+        ``time_limit`` is the per-query budget; on expiry the returned
+        result is flagged ``timed_out`` with whatever was computed so far.
+        """
+        return self.query_many([query], time_limit)[0]
+
+    def query_many(
+        self, queries: list[Graph], time_limit: float | None = None
+    ) -> list[QueryResult]:
+        """Answer a whole query set with a per-query time limit.
+
+        Submit all, collect all over the executor's stream, so a pool
+        executor fans the set across its workers (the first query is
+        already running while the second is planned); results always come
+        back in input order.  Each query is compiled (or fetched from the
+        plan cache) exactly once here — a batch repeating one query ships
+        one shared plan to every worker.
+        """
+        self._check_queryable(queries)
+        return gather(self, [self.submit(q, time_limit) for q in queries])
+
+    def submit(self, query: Graph, time_limit: float | None = None) -> int:
+        """Hand one query to the executor's stream; returns its ticket.
+
+        The streaming half of :meth:`query_many`, for a caller (the
+        service) that answers each query when *it* completes: the plan is
+        looked up here, the executor gets the query with its own
+        ``time_limit``, and :meth:`collect` reports the result.  The
+        database must not be mutated while tickets are outstanding.
+        """
+        self._check_queryable([query])
+        plan, outcome = self._plan_for(query)
+        ticket = self.executor.submit(
+            self.pipeline, query, self.db, time_limit, plan=plan
+        )
+        self._plan_outcomes[ticket] = outcome
+        return ticket
+
+    def collect(
+        self, timeout: float | None = None, also: Sequence = ()
+    ) -> list[tuple[int, QueryResult]]:
+        """Finished ``(ticket, result)`` pairs in completion order, stamped
+        like :meth:`query` results; blocks as :meth:`QueryExecutor.collect
+        <repro.exec.base.QueryExecutor.collect>` does."""
+        done = self.executor.collect(timeout, also)
+        for ticket, result in done:
+            self._annotate(result)
+            result.metadata["plan_cache"] = self._plan_outcomes.pop(ticket)
+        return done
 
     def find_embeddings(
         self,
@@ -402,6 +414,15 @@ class SubgraphQueryEngine:
     # Database maintenance (the index-update story)
     # ------------------------------------------------------------------
 
+    def _require_landed(self) -> None:
+        """Workers in flight hold the database as it was: a mutation under
+        them would answer old tickets from a state nobody asked about."""
+        if self._plan_outcomes:
+            raise RuntimeError(
+                f"cannot mutate the database with {len(self._plan_outcomes)} "
+                "submitted queries not yet collected"
+            )
+
     def add_graph(
         self,
         graph: Graph,
@@ -422,6 +443,7 @@ class SubgraphQueryEngine:
         invalidation are skipped — the mutation is a plain (journaled)
         database insert.
         """
+        self._require_landed()
         store = store if store is not None else self.store
         if store is not None:
             store.journal_add(self.db, graph, request_key=request_key)
@@ -446,6 +468,7 @@ class SubgraphQueryEngine:
         throughout a migration.  Raises :class:`ValueError` when ``gid``
         is already present (same contract as the database layer).
         """
+        self._require_landed()
         if gid in self.db:
             raise ValueError(f"graph id {gid} already exists")
         store = store if store is not None else self.store
@@ -469,6 +492,7 @@ class SubgraphQueryEngine:
         is journaled or mutated.  With a store the removal is journaled
         durably first, exactly like :meth:`add_graph`.
         """
+        self._require_landed()
         store = store if store is not None else self.store
         if store is not None:
             store.journal_remove(self.db, gid, request_key=request_key)

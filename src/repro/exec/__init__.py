@@ -3,16 +3,19 @@
 This package is the hardened execution layer between the engine/benchmark
 harness and the query pipelines:
 
-* :mod:`repro.exec.base` — the :class:`QueryExecutor` protocol and the
-  default cooperative :class:`InProcessExecutor`;
+* :mod:`repro.exec.base` — the :class:`QueryExecutor` protocol, a
+  **stream** (``submit(query, time_limit) → ticket``, ``collect() →
+  finished (ticket, result) pairs`` in completion order; ``run_many`` is
+  "submit all, collect all", defined once there), and the default
+  cooperative :class:`InProcessExecutor`;
 * :mod:`repro.exec.worker` — the one worker-process primitive
   (:class:`~repro.exec.worker.WorkerProcess`: a killable child on a
   duplex pipe, ``recv`` with timeout and drain-after-death, ``scrap``;
   :class:`~repro.exec.worker.RestartBackoff`; the hard-deadline rule)
   that the pool below and the shard process host are both built on;
 * :mod:`repro.exec.parallel` — :class:`ParallelExecutor`, the pool: it
-  fans query batches across ``jobs`` such workers with hard wall-clock
-  and memory limits, crash containment and bounded retry;
+  streams queries through ``jobs`` such workers with per-job hard
+  wall-clock limits, a memory cap, crash containment and bounded retry;
   :class:`SubprocessExecutor` is that pool with one worker;
 * :mod:`repro.exec.supervise` — :class:`SupervisedExecutor`, the
   service-grade pool with restart backoff and a restart-storm fuse;

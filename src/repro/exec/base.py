@@ -6,11 +6,19 @@ survive computing it".  The engine routes every query through one, so the
 containment policy — cooperative in-process for tests and small runs,
 process-isolated with hard limits for benchmarks and services — is a
 configuration choice, not a code path.
+
+An executor is a **stream**: ``submit`` hands over one query with its own
+time limit and returns a ticket, ``collect`` returns the ``(ticket,
+result)`` pairs that have finished since the last call, in completion
+order.  ``run_many`` is defined once, here, as "submit all, collect all",
+so a batch caller and a server answering each request as it completes
+drive the same loop.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.metrics import QueryFailure, QueryResult
@@ -30,6 +38,7 @@ __all__ = [
     "classify_exception",
     "create_executor",
     "failure_result",
+    "gather",
 ]
 
 
@@ -58,8 +67,29 @@ def failure_result(
     )
 
 
+def gather(stream, tickets: list[int]) -> list[QueryResult]:
+    """Collect from ``stream`` until every one of ``tickets`` has its
+    result; results in ticket order.  The stream must hold no other work:
+    a foreign ticket is a caller bug and raises ``KeyError``."""
+    position = {ticket: i for i, ticket in enumerate(tickets)}
+    results: list[QueryResult | None] = [None] * len(tickets)
+    missing = len(tickets)
+    while missing:
+        for ticket, result in stream.collect():
+            results[position[ticket]] = result
+            missing -= 1
+    return results  # type: ignore[return-value]
+
+
 class QueryExecutor(ABC):
-    """Runs one pipeline invocation under a containment policy.
+    """Runs pipeline invocations under a containment policy, as a stream.
+
+    :meth:`submit` takes one query — with *its own* time limit, so the
+    hard deadline a pool enforces is per job — and returns a ticket;
+    :meth:`collect` hands back finished ``(ticket, result)`` pairs in
+    completion order.  :meth:`run_many` and :meth:`run` are "submit,
+    then collect everything" over that pair.  All queries in flight at
+    one time share one ``(pipeline, db)`` binding.
 
     Implementations never raise for per-query problems: every outcome,
     including crashes and budget violations, comes back as a
@@ -68,6 +98,35 @@ class QueryExecutor(ABC):
     """
 
     @abstractmethod
+    def submit(
+        self,
+        pipeline: "QueryPipeline",
+        query: "Graph",
+        db: "GraphDatabase",
+        time_limit: float | None = None,
+        plan: "QueryPlan | None" = None,
+    ) -> int:
+        """Hand over ``query`` for execution through ``pipeline`` against
+        ``db``; returns the ticket :meth:`collect` will report it under.
+
+        ``plan`` is the query's compiled plan, if the caller (the engine)
+        already has one; executors ship it alongside the query — pool
+        workers receive it with the message rather than recompiling.
+        """
+
+    @abstractmethod
+    def collect(
+        self, timeout: float | None = None, also: Sequence = ()
+    ) -> list[tuple[int, QueryResult]]:
+        """Finished ``(ticket, result)`` pairs, in completion order.
+
+        Blocks until at least one submitted query has finished, nothing
+        is in flight, ``timeout`` seconds pass, or one of the extra
+        waitables in ``also`` (file descriptors, connections) becomes
+        readable — so a caller can sleep on "a result or a new request"
+        in one wait.  May return an empty list.
+        """
+
     def run(
         self,
         pipeline: "QueryPipeline",
@@ -76,12 +135,8 @@ class QueryExecutor(ABC):
         time_limit: float | None = None,
         plan: "QueryPlan | None" = None,
     ) -> QueryResult:
-        """Execute ``query`` through ``pipeline`` against ``db``.
-
-        ``plan`` is the query's compiled plan, if the caller (the engine)
-        already has one; executors ship it alongside the query — pool
-        workers receive it with the message rather than recompiling.
-        """
+        """Execute one query: a batch of one."""
+        return self.run_many(pipeline, [query], db, time_limit, plans=[plan])[0]
 
     def run_many(
         self,
@@ -93,16 +148,16 @@ class QueryExecutor(ABC):
     ) -> list[QueryResult]:
         """Execute a batch of queries; results in input order.
 
-        The default runs them one by one; pool executors override this to
-        fan the batch across workers while preserving the ordering.
-        ``plans``, when given, is parallel to ``queries``.
+        Submit all, collect all: a pool fans the batch across its workers,
+        and whatever order they finish in, every result lands at its input
+        position.  ``plans``, when given, is parallel to ``queries``.
         """
         if plans is None:
             plans = [None] * len(queries)
-        return [
-            self.run(pipeline, q, db, time_limit, plan=p)
+        return gather(self, [
+            self.submit(pipeline, q, db, time_limit, plan=p)
             for q, p in zip(queries, plans)
-        ]
+        ])
 
     def invalidate(self) -> None:
         """Forget any worker state bound to a (pipeline, db) pair.
@@ -137,7 +192,14 @@ class InProcessExecutor(QueryExecutor):
     violations and unexpected exceptions become failure records, but a
     non-cooperative loop or real memory exhaustion is *not* stopped —
     that is what :class:`~repro.exec.parallel.SubprocessExecutor` is for.
+
+    There is nothing to overlap with, so ``submit`` runs the query on the
+    spot and parks the result for the next ``collect``.
     """
+
+    def __init__(self) -> None:
+        self._parked: list[tuple[int, QueryResult]] = []
+        self._tickets = 0
 
     def run(
         self,
@@ -151,6 +213,26 @@ class InProcessExecutor(QueryExecutor):
             return pipeline.execute(query, db, deadline=Deadline(time_limit), plan=plan)
         except Exception as exc:  # escaped the pipeline's own containment
             return failure_result(pipeline.name, query.name, classify_exception(exc))
+
+    def submit(
+        self,
+        pipeline: "QueryPipeline",
+        query: "Graph",
+        db: "GraphDatabase",
+        time_limit: float | None = None,
+        plan: "QueryPlan | None" = None,
+    ) -> int:
+        self._tickets += 1
+        self._parked.append(
+            (self._tickets, self.run(pipeline, query, db, time_limit, plan))
+        )
+        return self._tickets
+
+    def collect(
+        self, timeout: float | None = None, also: Sequence = ()
+    ) -> list[tuple[int, QueryResult]]:
+        done, self._parked = self._parked, []
+        return done
 
 
 EXECUTOR_NAMES = ("inprocess", "subprocess", "parallel", "supervised")

@@ -30,11 +30,19 @@ copy-on-write, so queries never re-pickle the data graphs — and every
 result lands at its input position, so any pool width returns the exact
 sequence a pool of one would (timings aside).
 
-The pool is an event loop over :func:`multiprocessing.connection.wait`:
-dispatch is eager (a query is written to a spawning worker's pipe before
-the ``ready`` handshake arrives — the pipe buffers it), and all timeout
-accounting (startup, ack, hard wall-clock) is driven from the loop.
-:class:`SubprocessExecutor` is the same loop with one worker.
+The pool is a persistent **stream** (see :class:`~repro.exec.base.
+QueryExecutor`): ``submit`` queues one job — carrying its own time limit
+and hard deadline — and ``collect`` is an event loop over
+:func:`multiprocessing.connection.wait` that returns as soon as some job
+has finished, so a caller can answer each query when *it* completes and
+keep feeding idle workers while slower queries run.  Dispatch is eager (a
+query is written to a spawning worker's pipe before the ``ready`` handshake
+arrives — the pipe buffers it), and all timeout accounting (startup, ack,
+hard wall-clock) is driven from the loop.  ``run_many`` is the base
+class's "submit all, collect all" over this stream.  One ``(pipeline,
+db)`` binding is live at a time: rebinding or invalidating while jobs are
+in flight is a caller bug and raises.  :class:`SubprocessExecutor` is the
+same loop with one worker.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
+from collections.abc import Sequence
 from multiprocessing.connection import wait as _conn_wait
 from typing import TYPE_CHECKING
 
@@ -69,12 +78,23 @@ __all__ = ["ParallelExecutor", "SubprocessExecutor"]
 
 
 class _Job:
-    """One query of a batch: queued, or dispatched to one worker."""
+    """One submitted query: queued, or dispatched to one worker."""
 
-    __slots__ = ("index", "retries", "not_before", "sent_at", "acked_at")
+    __slots__ = (
+        "ticket", "query", "time_limit", "plan", "hard",
+        "retries", "not_before", "sent_at", "acked_at",
+    )
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self, ticket: int, query: "Graph", time_limit: float | None,
+                 plan: "QueryPlan | None", hard: float | None) -> None:
+        self.ticket = ticket
+        self.query = query
+        self.time_limit = time_limit
+        # The compiled plan is serialized with its query: each dispatch
+        # carries it so workers never recompile per attempt.
+        self.plan = plan
+        #: Seconds after the ack at which the worker is SIGKILLed.
+        self.hard = hard
         self.retries = 0
         #: Earliest (re-)dispatch time; a retry pushes it out.
         self.not_before = 0.0
@@ -101,10 +121,10 @@ class _Worker(WorkerProcess):
 
 
 class ParallelExecutor(QueryExecutor):
-    """Fans query batches across ``jobs`` persistent worker processes.
+    """Streams queries through ``jobs`` persistent worker processes.
 
-    ``run`` is a batch of one.  ``time_limit=None`` means no hard
-    deadline either: the parent waits as long as the worker lives.
+    A job's ``time_limit=None`` means no hard deadline either: the parent
+    waits for it as long as its worker lives.
     """
 
     #: Pool width when ``jobs`` is not given.
@@ -152,6 +172,13 @@ class ParallelExecutor(QueryExecutor):
         self.spawn_total = 0
         self.worker_deaths = 0  # died on their own (crash, OOM-killer, ...)
         self.worker_kills = 0  # deliberately SIGKILLed (hard/ack timeout)
+        #: The stream: jobs not yet on a worker, finished ``(ticket,
+        #: result)`` pairs not yet collected, and how many submitted jobs
+        #: have not finished.
+        self._pending: deque[_Job] = deque()
+        self._done: list[tuple[int, QueryResult]] = []
+        self._outstanding = 0
+        self._tickets = 0
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -211,20 +238,20 @@ class ParallelExecutor(QueryExecutor):
             self._reap(w, kill=True)
         self._bound = None
 
+    def _require_idle(self, what: str) -> None:
+        if self._outstanding:
+            raise RuntimeError(
+                f"cannot {what} with {self._outstanding} queries in flight; "
+                "collect them first"
+            )
+
     def _rebind(self, pipeline: "QueryPipeline", db: "GraphDatabase") -> None:
         if self._bound is not None and (
             self._bound[0] is pipeline and self._bound[1] is db
         ):
-            # Keep live, idle workers from the previous batch.
-            for w in list(self._workers):
-                if not (w.alive and w.job is None):
-                    if not w.alive:
-                        # Died idle between batches; the watchdog counts it
-                        # like any other unexpected death.
-                        self._record_failure_reap(w, deliberate=False)
-                    self._reap(w, kill=True)
-        else:
-            self._scrap_all()
+            return  # live workers carry over from one job to the next
+        self._require_idle("rebind the pool to another (pipeline, db)")
+        self._scrap_all()
         self._bound = (pipeline, db)
         self._spawn_failures = 0
 
@@ -263,223 +290,238 @@ class ParallelExecutor(QueryExecutor):
         }
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # The stream: submit / collect
     # ------------------------------------------------------------------
 
-    def run(
+    def submit(
         self,
         pipeline: "QueryPipeline",
         query: "Graph",
         db: "GraphDatabase",
         time_limit: float | None = None,
         plan: "QueryPlan | None" = None,
-    ) -> QueryResult:
-        return self.run_many(pipeline, [query], db, time_limit, plans=[plan])[0]
-
-    def run_many(
-        self,
-        pipeline: "QueryPipeline",
-        queries: list["Graph"],
-        db: "GraphDatabase",
-        time_limit: float | None = None,
-        plans: "list[QueryPlan | None] | None" = None,
-    ) -> list[QueryResult]:
-        if not queries:
-            return []
-        # Plans are serialized with their query: each dispatch carries the
-        # engine-compiled plan so workers never recompile per attempt.
-        if plans is None:
-            plans = [None] * len(queries)
+    ) -> int:
         self._rebind(pipeline, db)
-        results: list[QueryResult | None] = [None] * len(queries)
-        pending: deque[_Job] = deque(_Job(i) for i in range(len(queries)))
-        outstanding = len(queries)
-        hard = hard_deadline(
-            time_limit, self.hard_timeout_factor, self.hard_timeout_grace
-        )
+        self._tickets += 1
+        self._pending.append(_Job(
+            self._tickets, query, time_limit, plan,
+            hard_deadline(
+                time_limit, self.hard_timeout_factor, self.hard_timeout_grace
+            ),
+        ))
+        self._outstanding += 1
+        # An idle worker starts on it now, while the caller prepares its
+        # next submit, instead of at the next collect.
+        self._dispatch(time.perf_counter())
+        return self._tickets
 
-        def fail(job: _Job, kind, message, query_time=0.0) -> None:
-            nonlocal outstanding
-            failure = QueryFailure(kind=kind, message=message, retries=job.retries)
-            results[job.index] = failure_result(
-                pipeline.name, queries[job.index].name, failure,
-                query_time=query_time,
-            )
-            outstanding -= 1
-
-        def finish(job: _Job, result: QueryResult) -> None:
-            nonlocal outstanding
-            if result.failure is not None:
-                result.failure.retries = job.retries
-            results[job.index] = result
-            outstanding -= 1
-
-        def requeue(job: _Job) -> None:
-            """The worker was lost before it acknowledged ``job``: the
-            query never started, so back off and re-dispatch, bounded."""
-            if job.retries < self.max_retries:
-                job.not_before = time.perf_counter() + self.retry_backoff * (
-                    2**job.retries
-                )
-                job.retries += 1
-                pending.append(job)
-            else:
-                fail(
-                    job,
-                    "crash",
-                    "worker died before starting the query "
-                    f"(exit code {self._last_exit}; "
-                    f"{self._spawn_failures} consecutive start-up deaths)",
-                )
-
-        def next_pending(now: float):
-            """Earliest queued query whose backoff has elapsed, if any."""
-            for _ in range(len(pending)):
-                job = pending.popleft()
-                if job.not_before <= now:
-                    return job
-                pending.append(job)
-            return None
-
-        def handle_message(worker: _Worker, msg, now: float) -> None:
-            kind = msg[0]
-            if kind == "ready":
-                worker.ready = True
-                worker.ready_at = now
-                self._spawn_failures = 0
-            elif kind == "ack":
-                if worker.job is not None:
-                    worker.job.acked_at = now
-            elif kind == "result":
-                job, worker.job = worker.job, None
-                if job is not None:
-                    self._note_result(worker, job, now)
-                    finish(job, msg[1])
-
-        def lose(worker: _Worker, kill: bool, deliberate: bool) -> "_Job | None":
-            """Reap a failed worker; returns the job it held, if any."""
-            job, worker.job = worker.job, None
-            if not worker.ready:
-                self._spawn_failures += 1
-            self._record_failure_reap(worker, deliberate)
-            self._reap(worker, kill)
-            return job
-
-        def on_death(worker: _Worker, now: float) -> None:
-            """The worker died on its own: mid-query is a crash for that
-            query, before the ack is transient."""
-            job = lose(worker, kill=False, deliberate=False)
-            if job is None:
-                return
-            if job.acked_at is not None:
-                fail(
-                    job,
-                    "crash",
-                    f"worker died mid-query (exit code {self._last_exit})",
-                    query_time=now - job.acked_at,
-                )
-            else:
-                requeue(job)
-
-        def check_timeouts(worker: _Worker, now: float) -> None:
-            job = worker.job
-            if job is not None and job.acked_at is not None:
-                if hard is not None and now - job.acked_at >= hard:
-                    lose(worker, kill=True, deliberate=True)
-                    elapsed = now - job.sent_at
-                    fail(
-                        job,
-                        "oot",
-                        f"hard timeout: worker SIGKILLed after {elapsed:.2f}s "
-                        f"(limit {time_limit}s)",
-                        query_time=time_limit,
-                    )
-                return
-            if not worker.ready:
-                if now - worker.spawned_at >= self.startup_timeout:
-                    lose(worker, kill=True, deliberate=False)
-                    if job is not None:
-                        requeue(job)
-                return
-            if job is not None:
-                # The ack clock starts when the worker can first see the
-                # request: the later of send time and the ready handshake.
-                since = max(job.sent_at, worker.ready_at or job.sent_at)
-                if now - since >= self.ack_timeout:
-                    lose(worker, kill=True, deliberate=True)
-                    requeue(job)
-
-        while outstanding > 0:
+    def collect(
+        self, timeout: float | None = None, also: Sequence = ()
+    ) -> list[tuple[int, QueryResult]]:
+        deadline = None if timeout is None else time.perf_counter() + timeout
+        also = list(also)
+        woken = False
+        while True:
             now = time.perf_counter()
-
-            # Size the pool by the work it can hand out now: queries in
-            # flight plus queued ones whose backoff has elapsed.  A worker
-            # spawned for a query still backing off would sit idle — and,
-            # under a persistent start-up crash, die without a job to
-            # charge the death to.  The fuse and the respawn policy are
-            # overridable hooks: the supervised executor adds backoff and
-            # a restart-storm fuse.
-            fuse_blown = self._fuse_blown()
-            if not fuse_blown and len(self._workers) < self.jobs:
-                busy = sum(w.job is not None for w in self._workers)
-                due = sum(job.not_before <= now for job in pending)
-                self._maintain_pool(pipeline, db, min(self.jobs, busy + due))
-
-            # Eager dispatch: one job per idle worker; the pipe buffers the
-            # request even before the worker's ready handshake arrives.
-            for w in list(self._workers):
-                if w.job is not None:
-                    continue
-                job = w.job = next_pending(now)
-                if job is None:
-                    break
-                job.sent_at, job.acked_at = now, None
-                if not w.send(
-                    ("query", queries[job.index], time_limit, plans[job.index])
-                ):
-                    # A pipe already dead on send is the same event as a
-                    # death noticed before the ack: one requeue path.
-                    on_death(w, now)
-
-            if not self._workers:
-                if fuse_blown:
-                    # Nothing in flight, nothing spawnable: fail the rest.
-                    while pending:
-                        fail(
-                            pending.popleft(),
-                            "crash",
-                            "worker pool could not start "
-                            f"(exit code {self._last_exit})",
-                        )
-                else:
-                    # Everything queued is backing off (or the respawn
-                    # policy is): wait a slice instead of busy-spinning.
-                    time.sleep(0.01)
-                continue
-
-            readable = set(_conn_wait([w.conn for w in self._workers], timeout=0.05))
+            # First, so a worker that just delivered a result is handed
+            # its next query before the caller goes off to answer.
+            self._dispatch(now)
+            if (
+                self._done or woken or not self._outstanding
+                or (deadline is not None and now >= deadline)
+            ):
+                done, self._done = self._done, []
+                return done
+            # With no worker to listen to, everything queued is backing
+            # off (or the respawn policy is): wait a short slice.
+            wait = 0.05 if self._workers else 0.01
+            if deadline is not None:
+                wait = min(wait, deadline - now)
+            readable = set(_conn_wait(
+                [w.conn for w in self._workers] + also, timeout=wait
+            ))
+            woken = any(waitable in readable for waitable in also)
             now = time.perf_counter()
             for w in list(self._workers):
                 if w.conn in readable or not w.alive:
                     msg = w.recv(0)
                     if msg is DEAD:
-                        on_death(w, now)
+                        self._on_death(w, now)
                     elif msg is not TIMEOUT:
-                        handle_message(w, msg, now)
+                        self._handle_message(w, msg, now)
                 else:
-                    check_timeouts(w, now)
+                    self._check_timeouts(w, now)
 
-        return results  # type: ignore[return-value]
+    def _dispatch(self, now: float) -> None:
+        """Bring the pool to the strength the queue needs and hand one
+        queued job to each idle worker."""
+        pending = self._pending
+        if not pending:
+            return
+        pipeline, db = self._bound  # type: ignore[misc]
+        # Size the pool by the work it can hand out now: queries in
+        # flight plus queued ones whose backoff has elapsed.  A worker
+        # spawned for a query still backing off would sit idle — and,
+        # under a persistent start-up crash, die without a job to charge
+        # the death to.  The fuse and the respawn policy are overridable
+        # hooks: the supervised executor adds backoff and a restart-storm
+        # fuse.
+        fuse_blown = self._fuse_blown()
+        if not fuse_blown and len(self._workers) < self.jobs:
+            busy = sum(w.job is not None for w in self._workers)
+            due = sum(job.not_before <= now for job in pending)
+            self._maintain_pool(pipeline, db, min(self.jobs, busy + due))
+
+        # Eager dispatch: the pipe buffers the request even before the
+        # worker's ready handshake arrives.
+        for w in list(self._workers):
+            if w.job is not None:
+                continue
+            if w.ready and not w.alive:
+                # Died idle after its handshake; the watchdog counts it
+                # like any other unexpected death, and no query is charged.
+                self._on_death(w, now)
+                continue
+            job = w.job = self._next_pending(now)
+            if job is None:
+                break
+            job.sent_at, job.acked_at = now, None
+            if not w.send(("query", job.query, job.time_limit, job.plan)):
+                # A pipe already dead on send is the same event as a
+                # death noticed before the ack: one requeue path.
+                self._on_death(w, now)
+
+        if fuse_blown and not self._workers:
+            # Nothing in flight, nothing spawnable: fail the rest.
+            while pending:
+                self._fail(
+                    pending.popleft(),
+                    "crash",
+                    f"worker pool could not start (exit code {self._last_exit})",
+                )
+
+    def _fail(self, job: _Job, kind: str, message: str,
+              query_time: float = 0.0) -> None:
+        failure = QueryFailure(kind=kind, message=message, retries=job.retries)
+        self._done.append((job.ticket, failure_result(
+            self._bound[0].name, job.query.name, failure, query_time=query_time,
+        )))
+        self._outstanding -= 1
+
+    def _requeue(self, job: _Job) -> None:
+        """The worker was lost before it acknowledged ``job``: the query
+        never started, so back off and re-dispatch, bounded."""
+        if job.retries < self.max_retries:
+            job.not_before = time.perf_counter() + self.retry_backoff * (
+                2**job.retries
+            )
+            job.retries += 1
+            self._pending.append(job)
+        else:
+            self._fail(
+                job,
+                "crash",
+                "worker died before starting the query "
+                f"(exit code {self._last_exit}; "
+                f"{self._spawn_failures} consecutive start-up deaths)",
+            )
+
+    def _next_pending(self, now: float) -> "_Job | None":
+        """Earliest queued query whose backoff has elapsed, if any."""
+        pending = self._pending
+        for _ in range(len(pending)):
+            job = pending.popleft()
+            if job.not_before <= now:
+                return job
+            pending.append(job)
+        return None
+
+    def _handle_message(self, worker: _Worker, msg, now: float) -> None:
+        kind = msg[0]
+        if kind == "ready":
+            worker.ready = True
+            worker.ready_at = now
+            self._spawn_failures = 0
+        elif kind == "ack":
+            if worker.job is not None:
+                worker.job.acked_at = now
+        elif kind == "result":
+            job, worker.job = worker.job, None
+            if job is not None:
+                self._note_result(worker, job, now)
+                result = msg[1]
+                if result.failure is not None:
+                    result.failure.retries = job.retries
+                self._done.append((job.ticket, result))
+                self._outstanding -= 1
+
+    def _lose(self, worker: _Worker, kill: bool, deliberate: bool) -> "_Job | None":
+        """Reap a failed worker; returns the job it held, if any."""
+        job, worker.job = worker.job, None
+        if not worker.ready:
+            self._spawn_failures += 1
+        self._record_failure_reap(worker, deliberate)
+        self._reap(worker, kill)
+        return job
+
+    def _on_death(self, worker: _Worker, now: float) -> None:
+        """The worker died on its own: mid-query is a crash for that
+        query, before the ack is transient."""
+        job = self._lose(worker, kill=False, deliberate=False)
+        if job is None:
+            return
+        if job.acked_at is not None:
+            self._fail(
+                job,
+                "crash",
+                f"worker died mid-query (exit code {self._last_exit})",
+                query_time=now - job.acked_at,
+            )
+        else:
+            self._requeue(job)
+
+    def _check_timeouts(self, worker: _Worker, now: float) -> None:
+        job = worker.job
+        if job is not None and job.acked_at is not None:
+            if job.hard is not None and now - job.acked_at >= job.hard:
+                self._lose(worker, kill=True, deliberate=True)
+                elapsed = now - job.sent_at
+                self._fail(
+                    job,
+                    "oot",
+                    f"hard timeout: worker SIGKILLed after {elapsed:.2f}s "
+                    f"(limit {job.time_limit}s)",
+                    query_time=job.time_limit,
+                )
+            return
+        if not worker.ready:
+            if now - worker.spawned_at >= self.startup_timeout:
+                self._lose(worker, kill=True, deliberate=False)
+                if job is not None:
+                    self._requeue(job)
+            return
+        if job is not None:
+            # The ack clock starts when the worker can first see the
+            # request: the later of send time and the ready handshake.
+            since = max(job.sent_at, worker.ready_at or job.sent_at)
+            if now - since >= self.ack_timeout:
+                self._lose(worker, kill=True, deliberate=True)
+                self._requeue(job)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop all workers; the next batch sees fresh (pipeline, db) state."""
+        """Drop all workers; the next job sees fresh (pipeline, db) state."""
+        self._require_idle("invalidate the pool")
         self._scrap_all()
 
     def close(self) -> None:
+        # Whatever is still in flight is abandoned with its worker.
+        self._pending.clear()
+        self._done.clear()
+        self._outstanding = 0
         for w in self._workers:
             w.send(("stop",))
         # Grace period: let workers read the stop message and exit on

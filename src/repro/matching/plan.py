@@ -24,9 +24,10 @@ On top sits :class:`PlanCache`, an engine/service-level LRU keyed by a
 structure, relabeled vertex ids — hits the cache, not just a byte-identical
 repeat.  Canonicalisation uses the standard individualisation-refinement
 scheme (WL color refinement plus backtracking over minimal target cells),
-which is exact; pathologically symmetric queries that would blow the search
-budget fall back to an exact-form key (sound — such queries simply only hit
-on identical numbering).  Cache hits on a relabeled query :meth:`rebind`
+which is exact, under a work budget proportional to the query's size — a
+lookup may not cost more than the compile it saves; a symmetric query that
+would exceed it falls back to an exact-form key (sound — such queries simply
+only hit on identical numbering).  Cache hits on a relabeled query :meth:`rebind`
 the stored plan through the canonical vertex correspondence, which is an
 isomorphism whenever the certificates match.
 
@@ -66,9 +67,12 @@ _MAX_ORDER_MEMO = 64
 #: Most filter programs memoized per plan (one per distinct CFL root).
 _MAX_PROGRAM_MEMO = 16
 
-#: Leaves the canonical-labeling search may visit before giving up on a
-#: pathologically symmetric query and falling back to the exact-form key.
-_CANON_LEAF_BUDGET = 4096
+#: Vertex signatures the canonical-labeling search may compute per query
+#: vertex (so 64 refinement rounds, whatever the query's size) before it
+#: gives up and falls back to the exact-form key.  The search exists to save
+#: one ``compile_plan``; work, not leaves, is what is capped, because a leaf
+#: of a 17-vertex query costs ten times a leaf of a 6-vertex one.
+_CANON_SIGNATURES_PER_VERTEX = 64
 
 
 class CompiledOrder:
@@ -390,10 +394,19 @@ class _CanonBudgetExceeded(Exception):
     pass
 
 
-def _refine(n: int, adj: list[list[int]], colors: list[int]) -> list[int]:
+def _refine(
+    n: int, adj: list[list[int]], colors: list[int], budget: list[int]
+) -> list[int]:
     """WL color refinement to a stable partition, colors renumbered densely
-    in signature order (so equal partitions yield equal colorings)."""
+    in signature order (so equal partitions yield equal colorings).
+
+    ``budget[0]`` is the number of vertex signatures the whole search may
+    still compute; each round spends ``n`` of them up front.
+    """
     while True:
+        if budget[0] < n:
+            raise _CanonBudgetExceeded
+        budget[0] -= n
         sigs = [
             (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)
         ]
@@ -404,9 +417,7 @@ def _refine(n: int, adj: list[list[int]], colors: list[int]) -> list[int]:
         colors = refined
 
 
-def _canonical_form(
-    graph: Graph, budget: int = _CANON_LEAF_BUDGET
-) -> tuple[tuple, tuple[int, ...]] | None:
+def _canonical_form(graph: Graph) -> tuple[tuple, tuple[int, ...]] | None:
     """Exact canonical certificate + labeling, or None when over budget.
 
     Individualisation-refinement: refine to a stable partition; while some
@@ -424,11 +435,10 @@ def _canonical_form(
     labels = list(graph.labels)
     edge_list = list(graph.edges())
     seed = {s: i for i, s in enumerate(sorted({(labels[v], len(adj[v])) for v in range(n)}))}
-    initial = _refine(n, adj, [seed[(labels[v], len(adj[v]))] for v in range(n)])
+    budget = [_CANON_SIGNATURES_PER_VERTEX * n]
 
     best: list[tuple | None] = [None]
     best_positions: list[tuple[int, ...] | None] = [None]
-    leaves = [0]
 
     def certificate(positions: list[int]) -> tuple:
         lab = [0] * n
@@ -447,9 +457,6 @@ def _canonical_form(
         for c in colors:
             counts[c] = counts.get(c, 0) + 1
         if len(counts) == n:
-            leaves[0] += 1
-            if leaves[0] > budget:
-                raise _CanonBudgetExceeded
             cert = certificate(colors)
             if best[0] is None or cert < best[0]:
                 best[0] = cert
@@ -466,10 +473,14 @@ def _canonical_form(
             # Individualize: v gets a strictly smaller color than its old
             # class, then the refinement renormalizes densely.
             child[v] = -1
-            search(_refine(n, adj, child))
+            search(_refine(n, adj, child, budget))
 
     try:
-        search(initial)
+        search(
+            _refine(
+                n, adj, [seed[(labels[v], len(adj[v]))] for v in range(n)], budget
+            )
+        )
     except _CanonBudgetExceeded:
         return None
     assert best[0] is not None and best_positions[0] is not None

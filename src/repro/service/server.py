@@ -10,16 +10,21 @@ pieces, in the order a request meets them:
   not fit is rejected *immediately* with a structured ``overloaded``
   error; the service never builds an unbounded backlog and never answers
   load with silence.
-* **batch scheduler** — one scheduler thread drains the queue in arrival
-  order and coalesces adjacent queries (same time limit) into
-  ``query_many`` batches of at most ``batch_max``, dispatched through the
-  engine's executor — the PR 2 :class:`~repro.exec.parallel.
-  ParallelExecutor` when the service runs with ``jobs > 1``, inheriting
-  its per-query OOT/OOM/crash containment.  The scheduler is the *only*
-  thread that touches the engine, so the core stays single-threaded.
+* **scheduler** — one scheduler thread admits requests in arrival order,
+  keeps at most ``batch_max`` of them in flight on the engine's stream
+  (``engine.submit`` / ``engine.collect`` — the PR 2 :class:`~repro.exec.
+  parallel.ParallelExecutor` underneath when the service runs with
+  ``jobs > 1``, inheriting its per-query OOT/OOM/crash containment) and
+  answers each one when *it* completes: a slow query holds up neither the
+  finished answers beside it nor the admission of the requests behind it.
+  Each request carries its own time limit.  A mutation or admin verb is
+  a barrier: admission stops, everything in flight is collected, the verb
+  is applied, admission resumes.  The scheduler is the *only* thread
+  that touches the engine, so the core stays single-threaded.
 * **result cache** — an LRU of exact-match answers keyed by
   :func:`~repro.service.protocol.graph_key`.  A repeat of a recently
-  answered query skips dispatch entirely and is stamped ``cache: "hit"``.
+  answered query skips dispatch entirely and is stamped ``cache: "hit"``;
+  a repeat of a query still in flight waits for that one dispatch.
   Database mutations (``add_graph``/``remove_graph``) invalidate exactly
   the entries they can affect — an insertion drops entries whose query
   labels the new graph covers, a removal drops entries whose cached
@@ -43,8 +48,8 @@ pieces, in the order a request meets them:
   backoff and a restart-storm fuse underneath all of this.
 * **graceful drain** — SIGTERM/SIGINT (or the ``shutdown`` verb) stop
   admission, finish every queued and in-flight request, then exit.  A
-  kill during a batch loses nothing already answered: responses are
-  written as each request completes.
+  kill mid-flight loses nothing already answered: responses are written
+  as each request completes.
 * **metrics** — per-request records (queue wait, execution time, cache
   outcome, worker pid, batch size) are returned with every response and
   aggregated into mergeable :class:`~repro.utils.timing.LatencyHistogram`
@@ -88,7 +93,7 @@ class ServiceConfig:
     #: request arriving when ``capacity`` requests are already queued is
     #: rejected with ``overloaded``.
     capacity: int = 64
-    #: Most requests coalesced into one ``query_many`` dispatch.
+    #: Most requests in flight on the engine at once.
     batch_max: int = 8
     #: Exact-match result-cache entries (0 disables the cache).
     cache_capacity: int = 128
@@ -131,6 +136,7 @@ class _Request:
     __slots__ = (
         "op", "request_id", "graph", "key", "time_limit", "no_cache",
         "payload", "respond", "enqueued_at", "deadline_at", "request_key",
+        "handed_at", "batch_size", "followers",
     )
 
     def __init__(self, op, request_id, respond, *, graph=None, key=None,
@@ -151,6 +157,13 @@ class _Request:
         self.deadline_at = (
             None if deadline_ms is None else self.enqueued_at + deadline_ms / 1000.0
         )
+        #: Set when the scheduler hands the request over: the moment, and
+        #: how many requests were in flight then, this one included.
+        self.handed_at = 0.0
+        self.batch_size = 0
+        #: Identical cacheable requests admitted while this one was in
+        #: flight; they are answered from its one dispatch.
+        self.followers: tuple[_Request, ...] = ()
 
 
 class _ResultCache:
@@ -276,6 +289,21 @@ class QueryService:
         self._batch_count = 0
         self._batch_request_total = 0
         self._batch_max_seen = 0
+        # Flight state, owned by the scheduler thread (``_enqueue`` only
+        # reads ``_in_flight``).
+        #: Engine ticket -> the request it is computing.
+        self._flights: dict[int, _Request] = {}
+        #: Result-cache key -> the cacheable request in flight for it.
+        self._leaders: dict[str, _Request] = {}
+        #: Requests handed over and not yet answered, followers included.
+        self._in_flight = 0
+        #: A mutation or admin verb waiting for the flight to land.
+        self._barrier: _Request | None = None
+        #: Wakes the scheduler out of ``engine.collect`` when a request
+        #: arrives while others are in flight.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self._listener: socket.socket | None = None
         self._conns: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
@@ -402,6 +430,15 @@ class QueryService:
                 f"request queue is full ({self.config.capacity} pending); "
                 "back off and retry",
             ))
+            return
+        # Put first, look second: the scheduler sets ``_in_flight`` and then
+        # re-checks the queue before it blocks in collect, so one of the two
+        # sees the other.  An idle scheduler sleeps in ``queue.get``.
+        if self._in_flight:
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:
+                pass  # a wake-up is already pending (or the drain is over)
 
     def _count(self, key: str, n: int = 1) -> None:
         with self._lock:
@@ -412,124 +449,112 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def run_scheduler(self) -> None:
-        """Drain the request queue until shutdown completes the drain.
+        """Serve the request queue until shutdown completes the drain.
 
         Runs in the caller's thread.  Returns only when the service is
         draining *and* every admitted request has been answered.
         """
         try:
-            while True:
-                try:
-                    first = self._queue.get(timeout=0.1)
-                except queue.Empty:
-                    if self._draining.is_set():
-                        break
-                    continue
-                batch = [first]
-                while len(batch) < self.config.batch_max:
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except queue.Empty:
-                        break
-                self._process(batch)
+            while self._turn(0.1) or not self._draining.is_set():
+                pass
         finally:
             # Close the race between "queue looked empty" and a request
             # admitted in the same instant the drain began: nothing that
             # was accepted goes unanswered.
-            leftovers: list[_Request] = []
-            while True:
-                try:
-                    leftovers.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            for start in range(0, len(leftovers), self.config.batch_max):
-                self._process(leftovers[start:start + self.config.batch_max])
+            while self._turn(0.0):
+                pass
             self._drained.set()
+            self._wake_r.close()
+            self._wake_w.close()
 
-    def _process(self, batch: list[_Request]) -> None:
-        """Answer one drained chunk in arrival order.
+    def _turn(self, wait: float) -> bool:
+        """One turn of the scheduler loop: admit, then land or apply.
 
-        Adjacent queries with the same time limit form one ``query_many``
-        dispatch; a mutation is a batch boundary (it must observe all
-        earlier answers and invalidate before later ones).  A request
-        carrying a deadline dispatches solo: clipping the kernel budget
-        to *its* remaining time must not truncate its batch-mates.
+        (a) Admit from the queue while fewer than ``batch_max`` requests
+        are in flight and no barrier is waiting — idle, that is a
+        blocking ``get`` of up to ``wait`` seconds; (b) with requests in
+        flight, block in ``engine.collect`` (on the worker pipes, plus the
+        wake-up socket while more could be admitted) and answer whatever
+        completed; with none, apply the waiting barrier.  Returns False
+        when the service was idle for the whole of ``wait``.
         """
-        run: list[_Request] = []
-        for request in batch:
-            if request.op == "query":
-                if run and (
-                    run[0].time_limit != request.time_limit
-                    or run[0].deadline_at is not None
-                    or request.deadline_at is not None
-                ):
-                    self._dispatch(run)
-                    run = []
-                run.append(request)
-            else:
-                if run:
-                    self._dispatch(run)
-                    run = []
-                if request.op == "compact":
-                    self._apply_compact(request)
-                elif request.op == "rebalance":
-                    self._apply_rebalance(request)
+        wave: list[_Request] = []
+        while (
+            self._barrier is None
+            and self._in_flight + len(wave) < self.config.batch_max
+        ):
+            try:
+                if self._in_flight or wave:
+                    request = self._queue.get_nowait()
                 else:
-                    self._apply_mutation(request)
-        if run:
-            self._dispatch(run)
-
-    def _dispatch(self, run: list[_Request]) -> None:
-        dispatch_start = time.perf_counter()
-        # Deadline shedding: a request whose end-to-end budget expired
-        # while it sat in the queue is answered *now* with a structured
-        # ``oot`` — executing it would burn engine time on an answer the
-        # client has already given up on.
-        live: list[_Request] = []
-        for request in run:
-            if request.deadline_at is not None and dispatch_start >= request.deadline_at:
-                self._count("shed_deadline")
-                self._finish(request, self._shed_payload(request, dispatch_start),
-                             "shed", dispatch_start, len(run))
+                    request = self._queue.get(timeout=wait)
+            except queue.Empty:
+                break
+            if request.op == "query":
+                wave.append(request)
             else:
-                live.append(request)
-        if not live:
-            return
-        run = live
-        batch_size = len(run)
+                # A mutation must observe every earlier answer and
+                # invalidate before any later one: stop admitting here.
+                self._barrier = request
+        if wave:
+            self._hand_over(wave)
+        if self._flights:
+            self._land()
+        elif self._barrier is not None:
+            request, self._barrier = self._barrier, None
+            if request.op == "compact":
+                self._apply_compact(request)
+            elif request.op == "rebalance":
+                self._apply_rebalance(request)
+            else:
+                self._apply_mutation(request)
+        else:
+            return bool(wave)
+        return True
+
+    def _hand_over(self, wave: list[_Request]) -> None:
+        """Admit ``wave``: first answer what needs no engine (shed, cache
+        hit) and attach repeats of an in-flight query to it — a hit never
+        waits behind a miss — then submit the misses."""
+        now = time.perf_counter()
+        size = self._in_flight + len(wave)
         with self._lock:
             self._batch_count += 1
-            self._batch_request_total += batch_size
-            self._batch_max_seen = max(self._batch_max_seen, batch_size)
-
+            self._batch_request_total += size
+            self._batch_max_seen = max(self._batch_max_seen, size)
         misses: list[_Request] = []
-        # Identical queries coalesced into the same batch piggyback on a
-        # single dispatch: the first occurrence computes, the rest are
-        # answered from the freshly admitted cache entry.
-        pending: dict[str, list[_Request]] = {}
-        for request in run:
-            cacheable = bool(self.cache.capacity) and not request.no_cache
-            if cacheable and request.key in pending:
-                pending[request.key].append(request)
+        for request in wave:
+            request.handed_at = now
+            request.batch_size = size
+            if request.deadline_at is not None and now >= request.deadline_at:
+                # Deadline shedding: a request whose end-to-end budget
+                # expired while it sat in the queue is answered *now* with
+                # a structured ``oot`` — executing it would burn engine
+                # time on an answer the client has already given up on.
+                self._count("shed_deadline")
+                self._finish(request, self._shed_payload(request, now), "shed")
                 continue
-            cached = self.cache.lookup(request.key) if cacheable else None
-            if cached is not None:
-                self._finish(request, dict(cached), "hit", dispatch_start,
-                             batch_size)
-            else:
-                misses.append(request)
-                if cacheable:
-                    pending[request.key] = []
-        if not misses:
-            return
-
-        # Circuit breaker gate: while open, requests the cache could not
-        # answer are rejected fast with a retry-after hint instead of
-        # feeding a pool that cannot currently hold workers.
-        if not self.breaker.allow():
-            retry_after = self.breaker.retry_after()
-            for request in misses:
-                for each in [request, *pending.get(request.key, ())]:
+            if self.cache.capacity and not request.no_cache:
+                # An identical query already in flight computes for both:
+                # this one is answered when that dispatch completes.
+                leader = self._leaders.get(request.key)
+                if leader is not None:
+                    leader.followers += (request,)
+                    self._in_flight += 1
+                    continue
+                cached = self.cache.lookup(request.key)
+                if cached is not None:
+                    self._finish(request, dict(cached), "hit")
+                    continue
+                self._leaders[request.key] = request
+            misses.append(request)
+        for request in misses:
+            # Circuit breaker gate: while open, requests the cache could
+            # not answer are rejected fast with a retry-after hint instead
+            # of feeding a pool that cannot currently hold workers.
+            if not self.breaker.allow():
+                retry_after = self.breaker.retry_after()
+                for each in self._unlead(request):
                     self._count("rejected_degraded")
                     each.respond(error_response(
                         each.request_id, "degraded",
@@ -537,68 +562,104 @@ class QueryService:
                         "failures; back off and retry",
                         retry_after=retry_after,
                     ))
-            return
+                continue
+            time_limit = request.time_limit
+            if request.deadline_at is not None:
+                # The clip is this request's alone: every job carries its
+                # own limit down to the kernel and the hard deadline.
+                remaining = max(0.001, request.deadline_at - time.perf_counter())
+                time_limit = (
+                    remaining if time_limit is None else min(time_limit, remaining)
+                )
+            try:
+                ticket = self.engine.submit(request.graph, time_limit)
+            except Exception as exc:
+                self.breaker.record_failure()
+                for each in self._unlead(request):
+                    self._fail_internal(each, exc)
+                continue
+            self._flights[ticket] = request
+            self._in_flight += 1
 
-        time_limit = misses[0].time_limit
-        deadline_at = misses[0].deadline_at
-        if deadline_at is not None:
-            # Deadline'd requests dispatch solo (see _process), so the
-            # clip applies to exactly one query's kernel budget.
-            remaining = max(0.001, deadline_at - time.perf_counter())
-            time_limit = remaining if time_limit is None else min(time_limit, remaining)
+    def _unlead(self, request: _Request) -> tuple[_Request, ...]:
+        """``request`` stops leading: returns it and the followers it
+        gathered, none of which is in flight any more."""
+        if self._leaders.get(request.key) is request:
+            del self._leaders[request.key]
+        self._in_flight -= len(request.followers)
+        return (request, *request.followers)
+
+    def _land(self) -> None:
+        """Block until something in flight completes (or, while more
+        could be admitted, a request arrives) and answer what completed."""
+        listen = self._barrier is None and self._in_flight < self.config.batch_max
+        # A request that arrived while the wave was handed over is admitted
+        # before blocking; what has already finished is answered first.
+        timeout = 0.0 if listen and not self._queue.empty() else None
         try:
-            results = self.engine.query_many(
-                [r.graph for r in misses], time_limit=time_limit
+            done = self.engine.collect(
+                timeout, also=(self._wake_r,) if listen else ()
             )
         except Exception as exc:
+            # The engine lost track of the flight: nothing in it will
+            # ever complete, so everything in it is answered now.
             self.breaker.record_failure()
-            for request in misses:
-                for each in [request, *pending.get(request.key, ())]:
-                    self._count("internal_errors")
-                    each.respond(error_response(
-                        each.request_id, "internal",
-                        f"{type(exc).__name__}: {exc}",
-                    ))
+            flights, self._flights = self._flights, {}
+            for request in flights.values():
+                self._in_flight -= 1
+                for each in self._unlead(request):
+                    self._fail_internal(each, exc)
             return
+        if listen:
+            try:
+                self._wake_r.recv(4096)
+            except OSError:
+                pass  # nothing pending
+        for ticket, result in done:
+            self._complete(self._flights.pop(ticket), result)
+
+    def _complete(self, request: _Request, result) -> None:
+        """Answer one request the engine finished, and its followers."""
         # Crash-class failures feed the breaker: each one means a worker
         # died and was respawned.  Anything else — success, OOT, OOM,
         # plain errors — proves the pool holds workers, and closes it.
-        crashes = sum(
-            1 for r in results
-            if r.failure is not None and r.failure.kind == "crash"
-        )
-        if crashes:
-            self._count("worker_crashes", crashes)
-            for _ in range(crashes):
-                self.breaker.record_failure()
+        if result.failure is not None and result.failure.kind == "crash":
+            self._count("worker_crashes")
+            self.breaker.record_failure()
         else:
             self.breaker.record_success()
-        for request, result in zip(misses, results):
-            payload = self._result_payload(result)
-            cacheable = bool(self.cache.capacity) and not request.no_cache
-            # A partial answer (a shard was down) must not be cached: it
-            # would keep serving the degraded answer set after the shard
-            # recovers.
-            if cacheable and not result.failed and not result.metadata.get("partial"):
-                self.cache.admit(
-                    request.key, payload, frozenset(request.graph.label_set())
-                )
-            outcome = "bypass" if request.no_cache else (
-                "miss" if self.cache.capacity else "off"
+        payload = self._result_payload(result)
+        self._in_flight -= 1
+        _, *followers = self._unlead(request)
+        # A partial answer (a shard was down) must not be cached: it would
+        # keep serving the degraded answer set after the shard recovers.
+        if (
+            self.cache.capacity and not request.no_cache
+            and not result.failed and not result.metadata.get("partial")
+        ):
+            self.cache.admit(
+                request.key, payload, frozenset(request.graph.label_set())
             )
-            self._finish(request, dict(payload), outcome, dispatch_start,
-                         batch_size)
-            for duplicate in pending.get(request.key, ()) if cacheable else ():
-                # A real lookup, so the hit/miss counters stay truthful
-                # (a failed leader was not admitted: the repeat is a miss
-                # answered with the leader's failure payload).
-                entry = self.cache.lookup(duplicate.key)
-                self._finish(
-                    duplicate,
-                    dict(entry) if entry is not None else dict(payload),
-                    "hit" if entry is not None else "miss",
-                    dispatch_start, batch_size,
-                )
+        outcome = "bypass" if request.no_cache else (
+            "miss" if self.cache.capacity else "off"
+        )
+        self._finish(request, dict(payload), outcome)
+        for follower in followers:
+            # A real lookup, so the hit/miss counters stay truthful (a
+            # failed leader was not admitted: the repeat is a miss
+            # answered with the leader's failure payload).
+            entry = self.cache.lookup(follower.key)
+            self._finish(
+                follower,
+                dict(entry) if entry is not None else dict(payload),
+                "hit" if entry is not None else "miss",
+            )
+
+    def _fail_internal(self, request: _Request, exc: Exception) -> None:
+        self._count("internal_errors")
+        request.respond(error_response(
+            request.request_id, "internal", f"{type(exc).__name__}: {exc}"
+        ))
 
     @staticmethod
     def _shed_payload(request: _Request, now: float) -> dict:
@@ -642,16 +703,15 @@ class QueryService:
             "metadata": dict(result.metadata),
         }
 
-    def _finish(self, request: _Request, payload: dict, cache_outcome: str,
-                dispatch_start: float, batch_size: int) -> None:
+    def _finish(self, request: _Request, payload: dict, cache_outcome: str) -> None:
         now = time.perf_counter()
-        queue_wait = max(0.0, dispatch_start - request.enqueued_at)
+        queue_wait = max(0.0, request.handed_at - request.enqueued_at)
         execution = 0.0 if cache_outcome == "hit" else payload["query_time_s"]
         payload["cache"] = cache_outcome
         payload["metrics"] = {
             "queue_wait_s": queue_wait,
             "execution_s": execution,
-            "batch_size": batch_size,
+            "batch_size": request.batch_size,
             "worker_pid": (
                 "cache" if cache_outcome == "hit"
                 else payload["metadata"].get("worker_pid", os.getpid())

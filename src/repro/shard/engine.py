@@ -52,7 +52,9 @@ with some graphs already moved — still correct, still idempotent).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -320,6 +322,9 @@ class ShardedEngine:
         self.store_save_error: str | None = None
         self.wal_recovery: dict | None = None
         self.recovered_request_keys: list[tuple[str, str, int]] = []
+        #: ``(ticket, query, time_limit)`` submitted since the last collect.
+        self._queued: list[tuple[int, "Graph", float | None]] = []
+        self._tickets = 0
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -642,6 +647,31 @@ class ShardedEngine:
                 f"{self.name} requires build_index() before querying"
             )
         return self.router.query_many(queries, time_limit=time_limit)
+
+    def submit(self, query: "Graph", time_limit: float | None = None) -> int:
+        """Queue one query for the next :meth:`collect`; returns its ticket
+        (the engine's streaming surface, see :meth:`SubgraphQueryEngine.
+        submit <repro.core.engine.SubgraphQueryEngine.submit>`)."""
+        self._tickets += 1
+        self._queued.append((self._tickets, query, time_limit))
+        return self._tickets
+
+    def collect(
+        self, timeout: float | None = None, also: Sequence = ()
+    ) -> "list[tuple[int, QueryResult]]":
+        """Scatter-gather everything queued since the last collect.
+
+        Fan-out stays per batch: one :meth:`query_many` per run of queued
+        queries sharing a time limit (normally one), so the router and its
+        merge are the batch path's, unchanged.
+        """
+        queued, self._queued = self._queued, []
+        done: "list[tuple[int, QueryResult]]" = []
+        for time_limit, run in groupby(queued, key=lambda job: job[2]):
+            jobs = list(run)
+            results = self.query_many([job[1] for job in jobs], time_limit)
+            done.extend(zip((job[0] for job in jobs), results))
+        return done
 
     # ------------------------------------------------------------------
     # Shard-targeted mutations

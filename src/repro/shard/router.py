@@ -149,7 +149,7 @@ class ShardRouter:
                 "ok", dict(zip(positions, results))
             )
 
-        threads: list[threading.Thread] = []
+        work: list[tuple["_Shard", list[int]]] = []
         for shard in shards:
             mask = pruned.get(shard.index, set())
             positions = [i for i in range(len(queries)) if i not in mask]
@@ -157,20 +157,23 @@ class ShardRouter:
                 # Every query in the batch was ruled out: the shard's
                 # contribution is provably empty, no dispatch needed.
                 outcomes[shard.index] = ("ok", {})
-                continue
-            if not shard.breaker.allow():
+            elif not shard.breaker.allow():
                 outcomes[shard.index] = ("down", "breaker_open")
-                continue
-            if len(shards) == 1:
-                fan(shard, positions)  # no threading for the trivial fleet
-                continue
-            t = threading.Thread(
-                target=fan,
-                args=(shard, positions),
-                name=f"repro-shard-{shard.index}",
+            else:
+                work.append((shard, positions))
+        # The last surviving shard runs on the calling thread, which would
+        # otherwise only sleep in ``join``: N - 1 threads per batch, none
+        # when pruning and the breakers leave a single shard.
+        threads = [
+            threading.Thread(
+                target=fan, args=job, name=f"repro-shard-{job[0].index}"
             )
+            for job in work[:-1]
+        ]
+        for t in threads:
             t.start()
-            threads.append(t)
+        if work:
+            fan(*work[-1])
         for t in threads:
             t.join()
         return [

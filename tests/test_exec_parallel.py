@@ -106,6 +106,96 @@ class TestSerialParity:
             assert result.answers == expected_answers(query, small_db)
 
 
+class TestStream:
+    """The submit/collect stream ``run_many`` is built on."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_run_many_keeps_input_order_through_a_mid_batch_crash(
+        self, small_db, jobs
+    ):
+        """Whatever order the workers finish in — and a worker dying under
+        one query reshuffles it — every result lands at its input position,
+        for any pool width."""
+        queries = [named_square(f"q{i}") for i in range(7)]
+        faults.inject("worker.query", "crash", match="q3")
+        results = run_parallel(small_db, queries, jobs=jobs)
+        assert [r.query_name for r in results] == [q.name for q in queries]
+        kinds = [r.failure.kind if r.failure else None for r in results]
+        assert kinds == [None, None, None, "crash", None, None, None]
+        reference = run_inprocess(small_db, queries)
+        for i in (0, 1, 2, 4, 5, 6):
+            assert signature(results[i]) == signature(reference[i])
+
+    def test_collect_reports_in_completion_order(self, small_db):
+        """Three fast queries submitted after a slow one come back first."""
+        faults.inject("worker.query", "delay", arg=1.0, match="slow")
+        executor = ParallelExecutor(jobs=2)
+        with create_engine(small_db, "CFQL", executor=executor) as eng:
+            eng.build_index()
+            slow = eng.submit(named_square("slow"), time_limit=30.0)
+            fast = [eng.submit(named_square(f"fast{i}"), time_limit=30.0)
+                    for i in range(3)]
+            order = []
+            while len(order) < 4:
+                order += [ticket for ticket, _ in eng.collect()]
+            assert order[-1] == slow and sorted(order[:3]) == fast
+            assert eng.collect() == []  # nothing in flight: no blocking
+
+    def test_collect_wakes_on_an_extra_waitable(self, small_db):
+        """``also`` turns the one wait into "a result or a new request"."""
+        import socket
+
+        faults.inject("worker.query", "delay", arg=1.0, match="slow")
+        executor = ParallelExecutor(jobs=1)
+        ours, theirs = socket.socketpair()
+        with ours, theirs, create_engine(
+            small_db, "CFQL", executor=executor
+        ) as eng:
+            eng.build_index()
+            ticket = eng.submit(named_square("slow"), time_limit=30.0)
+            theirs.send(b"x")
+            assert eng.collect(also=(ours,)) == []  # woken, nothing done yet
+            ours.recv(1)
+            (done,) = eng.collect(also=(ours,))
+            assert done[0] == ticket and done[1].failure is None
+
+    def test_hard_deadline_is_per_job(self, small_db):
+        """Two jobs in flight together, each killed (or not) on its own
+        time limit: the short-limit hang dies as OOT while its
+        long-limit neighbour, slower than that kill, completes."""
+        faults.inject("worker.query", "spin", arg=30.0, match="hang")
+        faults.inject("worker.query", "delay", arg=1.2, match="steady")
+        executor = ParallelExecutor(jobs=2)
+        with create_engine(small_db, "CFQL", executor=executor) as eng:
+            eng.build_index()
+            steady = eng.submit(named_square("steady"), time_limit=30.0)
+            hang = eng.submit(named_square("hang"), time_limit=0.2)
+            results = {}
+            while len(results) < 2:
+                results.update(eng.collect())
+        assert results[hang].failure.kind == "oot"
+        assert results[steady].failure is None
+        assert results[steady].answers == expected_answers(
+            named_square("steady"), small_db
+        )
+
+    def test_rebinding_with_jobs_in_flight_is_an_error(self, small_db):
+        faults.inject("worker.query", "delay", arg=0.5, match="slow")
+        executor = ParallelExecutor(jobs=1)
+        with create_engine(small_db, "CFQL", executor=executor) as eng:
+            eng.build_index()
+            ticket = eng.submit(named_square("slow"), time_limit=30.0)
+            with pytest.raises(RuntimeError, match="in flight"):
+                executor.invalidate()
+            graphs = len(eng.db)
+            with pytest.raises(RuntimeError, match="not yet collected"):
+                eng.add_graph(named_square("new"))
+            assert len(eng.db) == graphs  # refused before anything changed
+            ((done, result),) = eng.collect()
+            assert done == ticket and result.failure is None
+            executor.invalidate()  # idle again: allowed
+
+
 class TestContainment:
     def test_one_oot_query_does_not_stall_the_pool(self, small_db):
         """A sleeping query is hard-killed on its own worker while the

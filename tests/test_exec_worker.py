@@ -4,8 +4,8 @@
 pool, the supervised pool and the shard process host are all built on,
 so the rules they share — drain a result written just before death,
 tell a silent child from a dead one, reap without zombies, back off the
-same way — are pinned here against real child processes.  The last test
-is structural: it keeps the duplication from growing back.
+same way — are pinned here against real child processes.  The last
+tests are structural: they keep the duplication from growing back.
 """
 
 from __future__ import annotations
@@ -188,3 +188,30 @@ def test_only_the_primitive_creates_pipes_and_processes():
     assert offenders and all(
         where.startswith("exec/worker.py:") for where in offenders
     ), offenders
+
+
+def test_one_dispatch_loop():
+    """``run_many`` is "submit all, collect all", written once over the
+    stream in ``exec/base.py`` — no executor grows its own batch loop back
+    — and the service feeds that stream request by request: a
+    ``query_many`` call in ``service/server.py`` would be the batch
+    barrier again."""
+    root = Path(repro.__file__).parent
+    definitions = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        definitions += [
+            str(path.relative_to(root))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "run_many"
+        ]
+    assert definitions == ["exec/base.py"], definitions
+    server = ast.parse((root / "service" / "server.py").read_text())
+    barrier_calls = [
+        node.lineno
+        for node in ast.walk(server)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "query_many"
+    ]
+    assert not barrier_calls, barrier_calls

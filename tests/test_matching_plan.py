@@ -6,11 +6,14 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithms import create_engine
 from repro.graph.generators import generate_database, generate_graph, random_walk_query
 from repro.graph.labeled_graph import Graph
 from repro.matching.cfql import CFQLMatcher
+from repro.matching import plan as plan_module
 from repro.matching.enumeration import enumerate_embeddings
 from repro.matching.plan import (
     PlanCache,
@@ -72,6 +75,120 @@ def test_canonical_positions_are_an_isomorphism_witness():
     _, positions = canonical_query_key(query)
     assert positions is not None
     assert sorted(positions) == list(query.vertices())
+
+
+# ----------------------------------------------------------------------
+# The canonicalisation work bound
+# ----------------------------------------------------------------------
+
+#: Vertex signatures the search may compute, per query vertex.
+CAP = plan_module._CANON_SIGNATURES_PER_VERTEX
+
+#: ``pool[73]`` of the benchmark's ``dense-verify`` workload —
+#: ``generate_query_set(generate_database(40, 120, 4.0, 2, seed=7), 16,
+#: True, size=19, seed=733).queries[16]`` — a hub with seven
+#: interchangeable label-0 leaves: 7! = 5040 discrete colorings, 245 ms
+#: under the old leaf budget, which it then exceeded anyway.
+DENSE_POOL_73 = Graph.from_edge_list(
+    [0, 1, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0],
+    [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
+     (0, 10), (0, 11), (0, 12), (0, 13), (0, 14), (1, 2), (2, 8), (2, 15)],
+)
+
+
+@pytest.fixture()
+def signatures_computed(monkeypatch):
+    """Total vertex signatures ``_refine`` computed, clock-free: what each
+    call took out of the search's budget."""
+    spent = [0]
+    original = plan_module._refine
+
+    def counting(n, adj, colors, budget):
+        before = budget[0]
+        try:
+            return original(n, adj, colors, budget)
+        finally:
+            spent[0] += before - budget[0]
+
+    monkeypatch.setattr(plan_module, "_refine", counting)
+    return spent
+
+
+def test_canonical_work_is_capped_on_the_dense_pool_outlier(signatures_computed):
+    key, positions = canonical_query_key(DENSE_POOL_73)
+    assert signatures_computed[0] <= CAP * DENSE_POOL_73.num_vertices
+    assert key == "x|" + exact_query_key(DENSE_POOL_73)
+    assert positions is None
+
+
+@pytest.mark.parametrize("n", [6, 17])
+def test_canonical_cap_scales_with_query_size(signatures_computed, n):
+    """A symmetric query of any size stops at *its own* cap: a star whose
+    ``n - 1`` leaves are interchangeable spends all it may and no more."""
+    star = Graph.from_edge_list([0] * n, [(0, leaf) for leaf in range(1, n)])
+    key, _ = canonical_query_key(star)
+    assert key.startswith("x|")
+    # Out of budget means fewer than one more round (n signatures) was left.
+    assert CAP * n - n < signatures_computed[0] <= CAP * n
+
+
+def test_small_queries_still_canonicalise_exactly(signatures_computed):
+    for seed in range(8):
+        query = _random_query(seed)
+        key, positions = canonical_query_key(query)
+        assert key.startswith("c|") and positions is not None
+    assert signatures_computed[0] <= 8 * CAP * 6
+
+
+_DENSE_DB = generate_database(
+    num_graphs=6, num_vertices=24, avg_degree=4.0, num_labels=2, seed=7
+)
+
+
+def _neighbourhood_star(graph: Graph, hub: int) -> Graph:
+    """``hub`` and its neighbours as a star: with two labels most of the
+    leaves are interchangeable, the shape that exhausts the budget."""
+    leaves = list(graph.neighbors(hub))
+    return Graph.from_edge_list(
+        [graph.label(hub)] + [graph.label(v) for v in leaves],
+        [(0, i + 1) for i in range(len(leaves))],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_edges=st.integers(3, 14),
+    star=st.booleans(),
+    data=st.data(),
+)
+def test_plan_cache_is_sound_whichever_key_it_used(seed, num_edges, star, data):
+    """Isomorphic renumberings of dense two-label queries — random walks
+    canonicalise (``c|``), high-degree stars fall back (``x|``): either
+    way the plan handed back is for the graph submitted, and the engine
+    answers exactly as it does without plans."""
+    source = _DENSE_DB[seed % len(_DENSE_DB)]
+    if star:
+        query = _neighbourhood_star(source, seed % source.num_vertices)
+    else:
+        query = random_walk_query(source, num_edges=num_edges, seed=seed)
+    if query is None:
+        return
+    perm = data.draw(st.permutations(list(query.vertices())))
+    relabeled = _relabel(query, perm)
+    cache = PlanCache()
+    for graph in (query, relabeled):
+        plan, _ = cache.get(graph)
+        # The submitted numbering (the same object, unless the renumbering
+        # happened to be an automorphism and hit the exact-key index).
+        assert exact_query_key(plan.query) == exact_query_key(graph)
+        assert plan.canonical_key[:2] in ("c|", "x|")
+    planned = create_engine(_DENSE_DB, "CFQL")
+    planless = create_engine(_DENSE_DB, "CFQL", plan_cache=0)
+    expected = planless.query(query).answers
+    assert planned.query(query).answers == expected
+    assert planned.query(relabeled).answers == expected
+    assert planless.query(relabeled).answers == expected
 
 
 # ----------------------------------------------------------------------

@@ -73,18 +73,11 @@ def drain(service: QueryService) -> None:
 
 
 def pump(service: QueryService) -> None:
-    import queue as queue_module
-
-    while True:
-        batch = []
-        while len(batch) < service.config.batch_max:
-            try:
-                batch.append(service._queue.get_nowait())
-            except queue_module.Empty:
-                break
-        if not batch:
-            return
-        service._process(batch)
+    """Answer everything currently queued by running turns of the real
+    scheduler loop until it reports idle, without putting the service
+    into its terminal drain."""
+    while service._turn(0.0):
+        pass
 
 
 class TestCircuitBreaker:
@@ -203,13 +196,13 @@ class TestDeadlines:
 
     def test_deadline_clips_the_kernel_budget(self, engine, monkeypatch):
         captured = {}
-        original = engine.query_many
+        original = engine.submit
 
-        def spy(queries, time_limit=None):
+        def spy(query, time_limit=None):
             captured["time_limit"] = time_limit
-            return original(queries, time_limit=time_limit)
+            return original(query, time_limit)
 
-        monkeypatch.setattr(engine, "query_many", spy)
+        monkeypatch.setattr(engine, "submit", spy)
         service = QueryService(engine, ServiceConfig(default_time_limit=600.0))
         responses = Responses()
         service.submit(
@@ -220,17 +213,18 @@ class TestDeadlines:
         pump(service)
         assert captured["time_limit"] <= 5.0
 
-    def test_deadlined_request_dispatches_solo(self, engine, monkeypatch):
-        """A deadline'd query must not drag its batch-mates' budget down:
-        the scheduler splits it into its own dispatch."""
-        sizes = []
-        original = engine.query_many
+    def test_deadline_clips_only_its_own_request(self, engine, monkeypatch):
+        """A deadline'd query must not drag its neighbours' budget down:
+        every job carries its own limit, so the three share one flight
+        and only the middle one is clipped."""
+        limits = []
+        original = engine.submit
 
-        def spy(queries, time_limit=None):
-            sizes.append(len(queries))
-            return original(queries, time_limit=time_limit)
+        def spy(query, time_limit=None):
+            limits.append(time_limit)
+            return original(query, time_limit)
 
-        monkeypatch.setattr(engine, "query_many", spy)
+        monkeypatch.setattr(engine, "submit", spy)
         service = QueryService(engine, ServiceConfig(cache_capacity=0))
         responses = Responses()
         service.submit(query_message(1, named_square("a")), responses)
@@ -239,8 +233,11 @@ class TestDeadlines:
         )
         service.submit(query_message(3, named_square("c")), responses)
         pump(service)
-        assert sizes == [1, 1, 1]
+        assert limits[0] == limits[2] == 600.0
+        assert limits[1] <= 60.0
         assert all(responses.by_id(i)["ok"] for i in (1, 2, 3))
+        assert {responses.by_id(i)["result"]["metrics"]["batch_size"]
+                for i in (1, 2, 3)} == {3}
 
     def test_invalid_deadline_is_bad_request(self, engine):
         service = QueryService(engine, ServiceConfig())
@@ -259,16 +256,18 @@ class TestBreakerIntegration:
         from repro.core.metrics import QueryFailure
         from repro.exec.base import failure_result
 
-        def crash_many(queries, time_limit=None):
+        original = engine.collect
+
+        def crash_collect(timeout=None, also=()):
             return [
-                failure_result(
-                    engine.name, q.name,
+                (ticket, failure_result(
+                    engine.name, result.query_name,
                     QueryFailure(kind="crash", message="worker died (test)"),
-                )
-                for q in queries
+                ))
+                for ticket, result in original(timeout, also)
             ]
 
-        monkeypatch.setattr(engine, "query_many", crash_many)
+        monkeypatch.setattr(engine, "collect", crash_collect)
         return QueryService(engine, ServiceConfig(
             cache_capacity=0, breaker_threshold=threshold,
             breaker_cooldown=cooldown,

@@ -93,20 +93,11 @@ def drain(service: QueryService) -> None:
 
 
 def pump(service: QueryService) -> None:
-    """Answer everything currently queued, as one scheduler pass would,
-    without putting the service into its terminal drain."""
-    import queue as queue_module
-
-    while True:
-        batch = []
-        while len(batch) < service.config.batch_max:
-            try:
-                batch.append(service._queue.get_nowait())
-            except queue_module.Empty:
-                break
-        if not batch:
-            return
-        service._process(batch)
+    """Answer everything currently queued by running turns of the real
+    scheduler loop until it reports idle, without putting the service
+    into its terminal drain."""
+    while service._turn(0.0):
+        pass
 
 
 class TestInlineVerbs:
@@ -228,17 +219,176 @@ class TestQueriesAndCache:
         sizes = {r["result"]["metrics"]["batch_size"] for r in responses.items}
         assert sizes == {4, 2}
 
-    def test_mixed_time_limits_split_dispatch(self, engine):
-        """Queries only coalesce into one query_many when they share a
-        time limit; a differing limit forces a new dispatch run."""
+    def test_mixed_time_limits_share_a_flight(self, engine, monkeypatch):
+        """Every request carries its own time limit down to the engine,
+        so differing limits no longer split the flight."""
+        limits = []
+        original = engine.submit
+
+        def spy(query, time_limit=None):
+            limits.append(time_limit)
+            return original(query, time_limit)
+
+        monkeypatch.setattr(engine, "submit", spy)
         service = make_service(engine)
         responses = Responses()
         service.submit(query_message(1, named_square("a"), time_limit=30.0),
                        responses)
-        service.submit(query_message(2, named_square("b"), time_limit=5.0),
-                       responses)
+        service.submit(query_message(2, named_square("b"), time_limit=5.0,
+                                     no_cache=True), responses)
         drain(service)
         assert responses.by_id(1)["ok"] and responses.by_id(2)["ok"]
+        assert limits == [30.0, 5.0]
+        assert [responses.by_id(i)["result"]["metrics"]["batch_size"]
+                for i in (1, 2)] == [2, 2]
+
+
+class TestCompletionOrder:
+    """Each request is answered when *it* completes.  Properties over
+    orderings, with fault-injected delays far longer than anything they
+    are compared against — no tight clocks."""
+
+    @pytest.fixture()
+    def pooled(self, service_db):
+        """A 2-worker pool; inject faults *before* the first query, the
+        workers take their fault specs along when they spawn."""
+        from repro.exec import create_executor
+
+        executor = create_executor("supervised", jobs=2)
+        with create_engine(service_db, "CFQL", executor=executor) as eng:
+            eng.build_index()
+            yield eng
+
+    def test_fast_requests_overtake_a_slow_one(self, pooled):
+        from repro.exec import faults
+
+        faults.inject("worker.query", "delay", arg=1.0, match="slow")
+        service = make_service(pooled, cache_capacity=0)
+        responses = Responses()
+        service.submit(query_message("slow", named_square("slow")), responses)
+        for i in range(3):
+            service.submit(query_message(i, named_square(f"fast{i}")), responses)
+        drain(service)
+        order = [r["id"] for r in responses.items]
+        assert order[3] == "slow" and sorted(order[:3]) == [0, 1, 2]
+        assert all(r["result"]["failure"] is None for r in responses.items)
+        # They were in flight together; nobody waited for a batch to end.
+        assert {r["result"]["metrics"]["batch_size"]
+                for r in responses.items} == {4}
+
+    def test_mutation_is_a_barrier_with_a_slow_query_in_flight(
+        self, pooled, service_db
+    ):
+        """Read-your-writes in both directions: what was admitted before
+        ``add_graph`` never sees the new graph, what came after always
+        does — also when the mutation arrives mid-flight."""
+        from repro.exec import faults
+
+        faults.inject("worker.query", "delay", arg=0.6, match="slow")
+        service = make_service(pooled, cache_capacity=0)
+        responses = Responses()
+        service.submit(query_message("slow", named_square("slow")), responses)
+        service.submit(query_message("before", named_square("before")), responses)
+        service.submit({"id": "add", "op": "add_graph",
+                        "graph": graph_to_wire(named_square("new"))}, responses)
+        service.submit(query_message("after", named_square("after")), responses)
+        drain(service)
+        gid = responses.by_id("add")["result"]["gid"]
+        old = expected_answers(named_square("q"), service_db)
+        assert gid in old  # service_db already holds the insertion by now
+        old.remove(gid)
+        assert responses.by_id("slow")["result"]["answers"] == old
+        assert responses.by_id("before")["result"]["answers"] == old
+        assert responses.by_id("after")["result"]["answers"] == old + [gid]
+        order = [r["id"] for r in responses.items]
+        assert order.index("slow") < order.index("add") < order.index("after")
+
+    def test_identical_queries_in_flight_cost_one_dispatch(
+        self, engine, monkeypatch
+    ):
+        submitted = []
+        original = engine.submit
+
+        def spy(query, time_limit=None):
+            submitted.append(query.name)
+            return original(query, time_limit)
+
+        monkeypatch.setattr(engine, "submit", spy)
+        service = make_service(engine)
+        responses = Responses()
+        service.submit(query_message(1, named_square("a")), responses)
+        service.submit(query_message(2, named_square("a")), responses)
+        drain(service)
+        assert submitted == ["a"]
+        first, second = responses.by_id(1)["result"], responses.by_id(2)["result"]
+        assert (first["cache"], second["cache"]) == ("miss", "hit")
+        assert second["answers"] == first["answers"]
+        assert (service.cache.hits, service.cache.misses) == (1, 1)
+        assert service.stats()["requests"]["answered"] == 2
+
+    def test_failed_leader_answers_its_followers_and_admits_nothing(
+        self, engine
+    ):
+        from repro.exec import faults
+
+        faults.inject("query:start", "error", match="boom")
+        service = make_service(engine)
+        responses = Responses()
+        service.submit(query_message(1, named_square("boom")), responses)
+        service.submit(query_message(2, named_square("boom")), responses)
+        drain(service)
+        for request_id in (1, 2):
+            result = responses.by_id(request_id)["result"]
+            assert result["failure"]["kind"] == "error"
+            assert result["cache"] == "miss"
+        assert len(service.cache) == 0
+        assert (service.cache.hits, service.cache.misses) == (0, 2)
+        assert service.stats()["requests"]["query_failures"] == 2
+
+    def test_deadline_clips_only_its_own_job(self, pooled, service_db):
+        """``hang`` never polls its 0.3 s budget and is hard-killed on it;
+        ``steady``, in the same flight and slower than that kill, has no
+        deadline and runs to completion."""
+        from repro.exec import faults
+
+        faults.inject("worker.query", "spin", arg=30.0, match="hang")
+        faults.inject("worker.query", "delay", arg=1.2, match="steady")
+        service = make_service(pooled, cache_capacity=0)
+        responses = Responses()
+        service.submit(query_message(1, named_square("steady")), responses)
+        service.submit(
+            query_message(2, named_square("hang"), deadline_ms=300), responses
+        )
+        drain(service)
+        steady, hang = responses.by_id(1)["result"], responses.by_id(2)["result"]
+        assert hang["failure"]["kind"] == "oot" and hang["timed_out"]
+        assert steady["failure"] is None
+        assert steady["answers"] == expected_answers(
+            named_square("steady"), service_db
+        )
+        assert steady["metrics"]["batch_size"] == 2
+        assert hang["metrics"]["batch_size"] == 2
+
+    def test_shutdown_answers_in_flight_and_queued(self, pooled):
+        from repro.exec import faults
+
+        faults.inject("worker.query", "delay", arg=0.2)
+        service = make_service(pooled, batch_max=4, cache_capacity=0)
+        responses = Responses()
+        for i in range(8):
+            service.submit(query_message(i, named_square(f"q{i}")), responses)
+        scheduler = threading.Thread(target=service.run_scheduler, daemon=True)
+        scheduler.start()
+        deadline = time.perf_counter() + 10.0
+        while service._in_flight < 4 and time.perf_counter() < deadline:
+            time.sleep(0.005)
+        assert service._in_flight == 4 and service._queue.qsize() == 4
+        service.request_shutdown()
+        scheduler.join(timeout=30.0)
+        assert not scheduler.is_alive()
+        assert all(responses.by_id(i)["result"]["failure"] is None
+                   for i in range(8))
+        assert service.stats()["batches"]["max_size"] == 4
 
 
 class TestAdmissionControl:
@@ -581,13 +731,13 @@ class TestSocketEndToEnd:
         are still answered."""
         with create_engine(service_db, "CFQL") as eng:
             eng.build_index()
-            original = eng.query_many
+            original = eng.collect
 
-            def slow_query_many(queries, time_limit=None):
+            def slow_collect(timeout=None, also=()):
                 time.sleep(0.25)
-                return original(queries, time_limit=time_limit)
+                return original(timeout, also)
 
-            eng.query_many = slow_query_many
+            eng.collect = slow_collect
             service = make_service(eng, capacity=2, batch_max=1)
             address = f"unix:{tmp_path / 'serve.sock'}"
             thread, exit_code = start_serving(service, address)
@@ -632,15 +782,15 @@ class TestSocketEndToEnd:
         request is still answered, then serve returns 128+signum."""
         with create_engine(service_db, "CFQL") as eng:
             eng.build_index()
-            original = eng.query_many
+            original = eng.collect
             started = threading.Event()
 
-            def slow_query_many(queries, time_limit=None):
+            def slow_collect(timeout=None, also=()):
                 started.set()
                 time.sleep(0.3)
-                return original(queries, time_limit=time_limit)
+                return original(timeout, also)
 
-            eng.query_many = slow_query_many
+            eng.collect = slow_collect
             service = make_service(eng)
             address = f"unix:{tmp_path / 'serve.sock'}"
             thread, exit_code = start_serving(service, address)
