@@ -1,20 +1,15 @@
 """The vertex-labeled undirected graph (Section II-A of the paper).
 
 The paper stores data graphs in CSR format — "a label array, an offset
-array and an edge array" (Table VII).  :class:`Graph` mirrors that layout:
-it is immutable after construction and keeps exactly those three arrays,
-plus a per-vertex neighbor set for O(1) edge tests and two lazily built
-label-partitioned views that the matching algorithms rely on:
+array and an edge array" (Table VII).  :class:`Graph` is exactly that: it
+is immutable after construction and keeps those three arrays.  Edge tests
+bisect the sorted CSR row of one endpoint.
 
-* ``vertices_with_label`` — the reverse label index, used to seed candidate
-  vertex sets;
-* ``neighbors_with_label`` — per-vertex adjacency partitioned by neighbor
-  label, used by CFL's candidate generation ("intersecting the sets of
-  neighbors, with label L(u), of vertices in Φ(u')").
-
-On top of those, the graph memoizes *bitmap profiles* over its dense
-vertex ids (see :mod:`repro.utils.bitset`): the label partition, the
-per-vertex adjacency, degree-threshold sets and neighbor-label-frequency
+Everything else is a lazily built view of the CSR.  The reverse label
+index (``vertices_with_label``) seeds candidate vertex sets, and the
+graph memoizes *bitmap profiles* over its dense vertex ids (see
+:mod:`repro.utils.bitset`): the label partition, the per-vertex
+adjacency, degree-threshold sets and neighbor-label-frequency
 thresholds, each as one int bitmap.  The candidate filters of GraphQL,
 CFL and CFQL reduce to AND/popcount over these, and because the graph is
 immutable the profiles are computed once and shared by every query that
@@ -27,6 +22,7 @@ Self loops and parallel edges are rejected at build time.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from repro.utils.bitset import bitmap_bytes, pack_bits
@@ -47,14 +43,10 @@ class Graph:
         "_labels",
         "_offsets",
         "_edges",
-        "_adj_sets",
         "_label_index",
-        "_nbr_by_label",
-        "_nbr_label_counts",
         "_edge_label_counts",
         "_label_bitmaps",
         "_nbr_bitmaps",
-        "_nbr_label_bitmaps",
         "_degree_bitmaps",
         "_nlf_bitmaps",
         "_np_profile",
@@ -83,18 +75,12 @@ class Graph:
             offsets[v + 1] = len(edges)
         self._offsets = offsets
         self._edges = edges
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(nbrs) for nbrs in adjacency
-        )
         # Lazy caches (built on first use; the graph itself never changes).
         self._label_index: dict[int, tuple[int, ...]] | None = None
-        self._nbr_by_label: list[dict[int, tuple[int, ...]]] | None = None
-        self._nbr_label_counts: list[dict[int, int]] | None = None
         self._edge_label_counts: dict[tuple[int, int], int] | None = None
         # Bitmap profiles (memoized; see "Bitmap profiles" below).
         self._label_bitmaps: dict[int, int] | None = None
         self._nbr_bitmaps: list[int] | None = None
-        self._nbr_label_bitmaps: list[dict[int, int]] | None = None
         self._degree_bitmaps: dict[int, int] = {}
         self._nlf_bitmaps: dict[tuple[int, int], int] = {}
         # Word-block profile for the numpy bitset backend (lazy).
@@ -169,11 +155,11 @@ class Graph:
         """The CSR edge array (length ``2m``; read-only by contract)."""
         return self._edges
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._adj_sets[v]
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        """Whether ``{u, v}`` is an edge: a bisect of ``u``'s sorted row."""
+        hi = self._offsets[u + 1]
+        i = bisect_left(self._edges, v, self._offsets[u], hi)
+        return i < hi and self._edges[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as ``(u, v)`` with ``u < v``."""
@@ -225,31 +211,15 @@ class Graph:
             self._label_index = {lab: tuple(vs) for lab, vs in index.items()}
         return self._label_index.get(label, ())
 
-    def neighbors_with_label(self, v: int, label: int) -> tuple[int, ...]:
-        """Neighbors of ``v`` carrying ``label`` (sorted)."""
-        if self._nbr_by_label is None:
-            per_vertex: list[dict[int, tuple[int, ...]]] = []
-            for u in self.vertices():
-                groups: dict[int, list[int]] = {}
-                for w in self.neighbors(u):
-                    groups.setdefault(self._labels[w], []).append(w)
-                per_vertex.append({lab: tuple(ws) for lab, ws in groups.items()})
-            self._nbr_by_label = per_vertex
-        return self._nbr_by_label[v].get(label, ())
-
     def neighbor_label_counts(self, v: int) -> dict[int, int]:
         """Multiset of neighbor labels of ``v`` (the "neighborhood profile"
-        GraphQL filters on)."""
-        if self._nbr_label_counts is None:
-            per_vertex = []
-            for u in self.vertices():
-                counts: dict[int, int] = {}
-                for w in self.neighbors(u):
-                    lab = self._labels[w]
-                    counts[lab] = counts.get(lab, 0) + 1
-                per_vertex.append(counts)
-            self._nbr_label_counts = per_vertex
-        return self._nbr_label_counts[v]
+        GraphQL filters on), counted from the CSR row on every call."""
+        labels = self._labels
+        counts: dict[int, int] = {}
+        for w in self.neighbors(v):
+            lab = labels[w]
+            counts[lab] = counts.get(lab, 0) + 1
+        return counts
 
     def edge_label_counts(self) -> dict[tuple[int, int], int]:
         """Occurrences of each unordered label pair over the edges.
@@ -287,7 +257,9 @@ class Graph:
         of paying a method call per candidate vertex.
         """
         if self._nbr_bitmaps is None:
-            self._nbr_bitmaps = [pack_bits(nbrs) for nbrs in self._adj_sets]
+            self._nbr_bitmaps = [
+                pack_bits(self.neighbors(v)) for v in self.vertices()
+            ]
         return self._nbr_bitmaps
 
     def neighbor_bitmap(self, v: int) -> int:
@@ -295,19 +267,6 @@ class Graph:
         if self._nbr_bitmaps is None:
             return self.neighbor_bitmaps()[v]
         return self._nbr_bitmaps[v]
-
-    def neighbor_label_bitmap(self, v: int, label: int) -> int:
-        """Bitmap of the neighbors of ``v`` carrying ``label``."""
-        if self._nbr_label_bitmaps is None:
-            per_vertex: list[dict[int, int]] = []
-            for u in self.vertices():
-                groups: dict[int, int] = {}
-                for w in self.neighbors(u):
-                    lab = self._labels[w]
-                    groups[lab] = groups.get(lab, 0) | (1 << w)
-                per_vertex.append(groups)
-            self._nbr_label_bitmaps = per_vertex
-        return self._nbr_label_bitmaps[v].get(label, 0)
 
     def degree_bitmap(self, min_degree: int) -> int:
         """Bitmap of the vertices with degree ≥ ``min_degree``.
@@ -333,9 +292,11 @@ class Graph:
         key = (label, min_count)
         cached = self._nlf_bitmaps.get(key)
         if cached is None:
+            # |N(v) with label l| is one popcount of N(v) ∩ label(l).
+            with_label = self.label_bitmap(label)
             cached = 0
-            for v in self.vertices():
-                if self.neighbor_label_counts(v).get(label, 0) >= min_count:
+            for v, nbrs in enumerate(self.neighbor_bitmaps()):
+                if (nbrs & with_label).bit_count() >= min_count:
                     cached |= 1 << v
             self._nlf_bitmaps[key] = cached
         return cached
@@ -378,27 +339,19 @@ class Graph:
     # ------------------------------------------------------------------
 
     def profile_memory_bytes(self) -> int:
-        """Retained size of the memoized bitmap/NLF profiles.
+        """Retained size of the memoized bitmap profiles.
 
-        Counts the bitmap payloads plus one word (8 bytes) per cached NLF
-        profile entry, so the lazily built acceleration structures show up
-        in memory reports the same way index structures do.
+        Counts the bitmap payloads, so the lazily built acceleration
+        structures show up in memory reports the same way index
+        structures do.
         """
         total = 0
         if self._label_bitmaps is not None:
             total += sum(bitmap_bytes(b) for b in self._label_bitmaps.values())
         if self._nbr_bitmaps is not None:
             total += sum(bitmap_bytes(b) for b in self._nbr_bitmaps)
-        if self._nbr_label_bitmaps is not None:
-            total += sum(
-                bitmap_bytes(b)
-                for groups in self._nbr_label_bitmaps
-                for b in groups.values()
-            )
         total += sum(bitmap_bytes(b) for b in self._degree_bitmaps.values())
         total += sum(bitmap_bytes(b) for b in self._nlf_bitmaps.values())
-        if self._nbr_label_counts is not None:
-            total += 8 * sum(len(c) for c in self._nbr_label_counts)
         if self._np_profile is not None:
             # Word-block profile: fixed ceil(n/64)-word rows, counted at
             # their true (backend-accurate) footprint.

@@ -42,14 +42,6 @@ from repro.utils.timing import Deadline
 __all__ = ["CFLMatcher"]
 
 
-def _adjacent_to_some(data: Graph, v: int, phi_u2: set[int]) -> bool:
-    """Whether N(v) intersects Φ(u'), iterating the smaller side."""
-    nbrs = data.neighbor_set(v)
-    if len(nbrs) <= len(phi_u2):
-        return any(w in phi_u2 for w in nbrs)
-    return any(w in nbrs for w in phi_u2)
-
-
 class CFLMatcher(PreprocessingMatcher):
     """Preprocessing-enumeration matcher with CFL's filter and order.
 

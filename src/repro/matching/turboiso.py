@@ -25,10 +25,10 @@ from repro.graph.algorithms import BFSTree, bfs_tree, two_core
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import MatchOutcome, PreprocessingMatcher
 from repro.matching.candidates import CandidateSets, select_kernel
-from repro.matching.cfl import _adjacent_to_some
 from repro.matching.enumeration import enumerate_embeddings
 from repro.matching.ordering import path_based_order
 from repro.matching.plan import QueryPlan
+from repro.utils.bitset import iter_bits
 from repro.utils.timing import Deadline, Timer
 
 __all__ = ["TurboIsoMatcher"]
@@ -72,10 +72,12 @@ class TurboIsoMatcher(PreprocessingMatcher):
         tree: BFSTree,
         start_vertex: int,
         deadline: Deadline | None,
-    ) -> list[set[int]] | None:
-        """Candidate region rooted at ``start_vertex``; None if dead."""
-        region: list[set[int]] = [set() for _ in query.vertices()]
-        region[tree.root] = {start_vertex}
+    ) -> list[int] | None:
+        """Candidate region rooted at ``start_vertex`` (one bitmap per query
+        vertex); None if dead."""
+        nbr = data.neighbor_bitmaps()
+        region = [0] * query.num_vertices
+        region[tree.root] = 1 << start_vertex
         visit_rank = {u: i for i, u in enumerate(tree.order)}
         for u in tree.order[1:]:
             if deadline is not None:
@@ -87,16 +89,14 @@ class TurboIsoMatcher(PreprocessingMatcher):
                 u2 for u2 in query.neighbors(u)
                 if visit_rank[u2] < visit_rank[u] and u2 != parent
             ]
-            survivors: set[int] = set()
-            for vp in region[parent]:
-                for v in data.neighbors_with_label(vp, label_u):
-                    if v in survivors or data.degree(v) < degree_u:
-                        continue
-                    if all(
-                        _adjacent_to_some(data, v, region[u2])
-                        for u2 in earlier_nbrs
-                    ):
-                        survivors.add(v)
+            reach = 0
+            for vp in iter_bits(region[parent]):
+                reach |= nbr[vp]
+            reach &= data.label_bitmap(label_u) & data.degree_bitmap(degree_u)
+            survivors = 0
+            for v in iter_bits(reach):
+                if all(nbr[v] & region[u2] for u2 in earlier_nbrs):
+                    survivors |= 1 << v
             if not survivors:
                 return None
             region[u] = survivors
@@ -108,7 +108,7 @@ class TurboIsoMatcher(PreprocessingMatcher):
         data: Graph,
         deadline: Deadline | None,
         plan: QueryPlan | None = None,
-    ) -> tuple[BFSTree, list[list[set[int]]]] | None:
+    ) -> tuple[BFSTree, list[list[int]]] | None:
         seeds = self._seed_candidates(query, data)
         if not all(seeds):
             return None
@@ -138,12 +138,12 @@ class TurboIsoMatcher(PreprocessingMatcher):
         if explored is None:
             return None
         tree, regions = explored
-        union: list[set[int]] = [set() for _ in query.vertices()]
+        union = [0] * query.num_vertices
         for region in regions:
-            for u in query.vertices():
-                union[u] |= region[u]
+            for u, bits in enumerate(region):
+                union[u] |= bits
         self._last_exploration = (query, tree, regions)
-        return CandidateSets(
+        return CandidateSets.from_bitmaps(
             union, kernel=select_kernel(data), num_vertices=data.num_vertices
         )
 
@@ -193,14 +193,14 @@ class TurboIsoMatcher(PreprocessingMatcher):
         tree, regions = explored
         # Cheapest region first: enumeration in small regions either
         # finishes instantly or proves the region empty early.
-        regions.sort(key=lambda r: sum(len(s) for s in r))
+        regions.sort(key=lambda r: sum(bits.bit_count() for bits in r))
         core = plan.two_core() if plan is not None else two_core(query)
 
         with Timer() as t_enum:
             for region in regions:
                 if limit is not None and outcome.num_embeddings >= limit:
                     break
-                phi = CandidateSets(
+                phi = CandidateSets.from_bitmaps(
                     region,
                     kernel=select_kernel(data),
                     num_vertices=data.num_vertices,

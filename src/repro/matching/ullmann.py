@@ -72,13 +72,13 @@ class UllmannMatcher(SubgraphMatcher):
                         continue
                     dead = set()
                     for v in m[u]:
-                        nbrs_v = data.neighbor_set(v)
+                        nbrs_v = data.neighbors(v)
                         for u2 in query.neighbors(u):
                             row = m[u2] if mapping[u2] < 0 else {mapping[u2]}
                             if len(nbrs_v) <= len(row):
                                 ok = any(w in row for w in nbrs_v)
                             else:
-                                ok = any(w in nbrs_v for w in row)
+                                ok = any(data.has_edge(v, w) for w in row)
                             if not ok:
                                 dead.add(v)
                                 break

@@ -959,9 +959,13 @@ class QueryService:
         # Refuse new connections immediately.  ``close()`` alone does not
         # wake a thread already blocked in ``accept()`` on Linux;
         # ``shutdown()`` does (accept fails with EINVAL), so the accept
-        # loop ends now instead of at serve()'s join timeout.
+        # loop ends now instead of at serve()'s join timeout.  A Unix
+        # socket file outlives its socket, so the drain removes it too.
         listener = self._listener
         if listener is not None:
+            unix_path = (
+                listener.getsockname() if listener.family == socket.AF_UNIX else None
+            )
             try:
                 listener.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -970,6 +974,11 @@ class QueryService:
                 listener.close()
             except OSError:
                 pass
+            if unix_path:
+                try:
+                    os.unlink(unix_path)
+                except OSError:
+                    pass
 
     # ------------------------------------------------------------------
     # Socket transport

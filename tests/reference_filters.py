@@ -64,8 +64,8 @@ def cfl_filter_reference(
         while bits:
             low = bits & -bits
             bits ^= low
-            pool |= data.neighbor_label_bitmap(low.bit_length() - 1, label_u)
-        pool &= data.degree_bitmap(query.degree(u))
+            pool |= data.neighbor_bitmap(low.bit_length() - 1)
+        pool &= data.label_bitmap(label_u) & data.degree_bitmap(query.degree(u))
         for u2 in query.neighbors(u):
             if not pool:
                 break

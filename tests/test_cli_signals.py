@@ -29,6 +29,10 @@ def start_reproduce(tmp_path, journal):
     # Small but non-trivial: several matrix cells, seconds of work.
     env["REPRO_BENCH_SCALE"] = "0.05"
     env["REPRO_BENCH_QUERIES"] = "4"
+    # Index builds are cells like any other; nothing here asserts on one
+    # finishing, so a 1 s limit keeps the run seconds long (OOT is a
+    # journaled cell too).
+    env["REPRO_BENCH_INDEX_LIMIT"] = "1"
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "reproduce", "fig7",
          "--journal", str(journal)],
@@ -87,13 +91,19 @@ def test_resume_after_interrupt(tmp_path):
     journal = tmp_path / "run.jsonl"
     proc = start_reproduce(tmp_path, journal)
     interrupt_after_journal_exists(proc, journal, signal.SIGTERM)
-    lines_before = len(journal.read_text().splitlines())
+    before = journal.read_text().splitlines()
+    keys_before = {json.dumps(json.loads(line)["key"]) for line in before}
 
     rerun = start_reproduce(tmp_path, journal)
     output, _ = rerun.communicate(timeout=600.0)
     assert rerun.returncode == 0, output
     assert_whole_line_journal(journal)
-    assert len(journal.read_text().splitlines()) >= lines_before
+    lines = journal.read_text().splitlines()
+    assert len(lines) >= len(before)
+    recomputed = {
+        json.dumps(json.loads(line)["key"]) for line in lines[len(before):]
+    } & keys_before
+    assert not recomputed, f"rerun recomputed journaled cells: {recomputed}"
 
 
 class TestAppendLineDurable:

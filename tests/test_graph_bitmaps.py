@@ -57,16 +57,6 @@ class TestBitmapProfiles:
             for v in g.vertices():
                 assert g.neighbor_bitmap(v) == pack_bits(g.neighbors(v))
 
-    def test_neighbor_label_bitmap_matches_filtered_adjacency(self, graphs):
-        for g in graphs:
-            labels = set(g.labels)
-            for v in g.vertices():
-                for label in labels:
-                    expected = pack_bits(
-                        w for w in g.neighbors(v) if g.label(w) == label
-                    )
-                    assert g.neighbor_label_bitmap(v, label) == expected
-
     def test_degree_bitmap_matches_degree_scan(self, graphs):
         for g in graphs:
             for threshold in (0, 1, 2, 3, 10):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.graph import Graph
+from repro.utils.bitset import bit_list
 
 from strategies import labeled_graphs
 
@@ -66,9 +67,6 @@ class TestAccessors:
     def test_neighbors_sorted(self, diamond):
         assert list(diamond.neighbors(1)) == [0, 2, 3]
 
-    def test_neighbor_set(self, diamond):
-        assert diamond.neighbor_set(3) == frozenset({0, 1, 2})
-
     def test_has_edge_symmetric(self, diamond):
         assert diamond.has_edge(1, 3) and diamond.has_edge(3, 1)
         assert not diamond.has_edge(0, 2)
@@ -94,9 +92,13 @@ class TestLabelViews:
         assert diamond.num_labels == 3
 
     def test_neighbors_with_label(self, diamond):
-        assert diamond.neighbors_with_label(0, 1) == (1,)
-        assert diamond.neighbors_with_label(0, 2) == (3,)
-        assert diamond.neighbors_with_label(0, 99) == ()
+        def with_label(v, label):
+            bits = diamond.neighbor_bitmap(v) & diamond.label_bitmap(label)
+            return bit_list(bits)
+
+        assert with_label(0, 1) == [1]
+        assert with_label(0, 2) == [3]
+        assert with_label(0, 99) == []
 
     def test_neighbor_label_counts(self, diamond):
         assert diamond.neighbor_label_counts(1) == {0: 1, 1: 1, 2: 1}
@@ -142,7 +144,8 @@ class TestInvariants:
             counts = graph.neighbor_label_counts(v)
             assert sum(counts.values()) == graph.degree(v)
             for lab, cnt in counts.items():
-                assert len(graph.neighbors_with_label(v, lab)) == cnt
+                with_label = graph.neighbor_bitmap(v) & graph.label_bitmap(lab)
+                assert with_label.bit_count() == cnt
 
 
 class TestEdgeLabelCounts:

@@ -47,6 +47,7 @@ def _random_query(seed: int, edges: int = 5) -> Graph:
 
 def test_canonical_key_invariant_under_relabeling():
     rng = random.Random(42)
+    distinct = 0
     for seed in range(8):
         query = _random_query(seed)
         key, _ = canonical_query_key(query)
@@ -55,8 +56,19 @@ def test_canonical_key_invariant_under_relabeling():
         relabeled = _relabel(query, perm)
         key2, _ = canonical_query_key(relabeled)
         assert key == key2
-        if perm != list(query.vertices()):
-            assert exact_query_key(query) != exact_query_key(relabeled) or True
+        # The exact key is byte-exact: equal iff the relabeled query has
+        # the same label array and edge list under the identity numbering
+        # (an automorphic permutation, or the identity itself).
+        same_numbering = (
+            relabeled.labels == query.labels
+            and sorted(relabeled.edges()) == sorted(query.edges())
+        )
+        exact_equal = exact_query_key(query) == exact_query_key(relabeled)
+        assert exact_equal == same_numbering
+        distinct += not exact_equal
+        identity = _relabel(query, list(query.vertices()))
+        assert exact_query_key(identity) == exact_query_key(query)
+    assert distinct > 0
 
 
 def test_canonical_key_distinguishes_non_isomorphic():

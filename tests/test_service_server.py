@@ -870,7 +870,7 @@ class TestServeSubprocess:
         output, _ = proc.communicate(timeout=30.0)
         assert proc.returncode == 128 + signal.SIGTERM, output
         assert "# drained:" in output
-        assert not os.path.exists(sock_path) or True  # socket dir is tmp
+        assert not os.path.exists(sock_path)
 
     def test_shutdown_verb_exits_zero(self, db_path, tmp_path):
         sock_path = tmp_path / "serve.sock"
@@ -881,6 +881,7 @@ class TestServeSubprocess:
         output, _ = proc.communicate(timeout=30.0)
         assert proc.returncode == 0, output
         assert "# drained:" in output
+        assert not os.path.exists(sock_path)
 
     @pytest.mark.parametrize("how", ["shutdown-verb", "sigterm"])
     def test_idle_drain_takes_under_a_second(self, db_path, tmp_path, how):
