@@ -412,6 +412,7 @@ def _execute_matrix_cell(
                 auxiliary_memory.get(aux_key, 0), payload["aux"]
             )
 
+    index_cell = None
     if journal is not None and journal.has("index", *scope, algorithm):
         index_cell = journal.get("index", *scope, algorithm)
         if not index_cell["available"]:
@@ -427,8 +428,9 @@ def _execute_matrix_cell(
             for name in needed:
                 restore_report(name, journal.get("report", *scope, algorithm, name))
             return
-        # Partially journaled: the engine must be rebuilt, but finished
-        # query-set reports below are still replayed, not recomputed.
+        # Partially journaled: the engine must be rebuilt, but the index
+        # cell and the finished query-set reports below are replayed, not
+        # recorded again.
 
     engine, status = build_engine(
         db, algorithm, config, store=_cell_store(config, scope)
@@ -445,17 +447,23 @@ def _execute_matrix_cell(
                      "degraded": False},
                 )
             return
-        build_entry = (
-            status if (engine.pipeline.uses_index or engine.degraded) else None
-        )
-        memory_entry = (
-            engine.index_memory_bytes() if engine.pipeline.uses_index else None
-        )
+        if index_cell is not None:
+            build_entry = index_cell["build"]
+            memory_entry = index_cell["memory"]
+        else:
+            build_entry = (
+                status if (engine.pipeline.uses_index or engine.degraded)
+                else None
+            )
+            memory_entry = (
+                engine.index_memory_bytes() if engine.pipeline.uses_index
+                else None
+            )
         if build_entry is not None:
             index_build[index_key] = build_entry
         if memory_entry is not None:
             index_memory[index_key] = memory_entry
-        if journal is not None:
+        if journal is not None and index_cell is None:
             journal.put(
                 ("index", *scope, algorithm),
                 {"available": True, "build": build_entry, "memory": memory_entry,

@@ -142,12 +142,6 @@ def _add_shards_flag(parser: argparse.ArgumentParser) -> None:
         "in-process; 'process' gives each shard a long-lived worker "
         "process for true CPU parallelism (default: thread)",
     )
-    parser.add_argument(
-        "--no-shard-pruning", action="store_true",
-        help="disable label-summary shard pruning (the router normally "
-        "skips shards whose summary proves they hold no answer for a "
-        "query; answers are identical either way)",
-    )
 
 
 def _check_sharded_store(index_store: str, shards: int) -> None:
@@ -340,7 +334,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             cache=args.cache,
             store_root=args.index_store or None,
             shard_host=args.shard_host,
-            pruning=not args.no_shard_pruning,
         )
         store = None
     else:
@@ -584,7 +577,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
             shard_host=args.shard_host,
-            pruning=not args.no_shard_pruning,
         )
         engine.build_index(time_limit=args.index_limit, fallback=args.fallback)
     else:
@@ -626,10 +618,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         per_shard = ", ".join(
             f"{row['shard']}:{row['graphs']}" for row in engine.shard_stats()
         )
-        pruning = "on" if engine.pruning else "off"
         print(f"# sharded: {args.shards} shards "
               f"({engine.partitioner.name} placement, "
-              f"{engine.shard_host} host, pruning {pruning}) [{per_shard}]")
+              f"{engine.shard_host} host) [{per_shard}]")
     service = QueryService(
         engine,
         ServiceConfig(
@@ -732,9 +723,8 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     if pruning:
         for cell in pruning["cells"]:
             latency = cell["latency_ms"]
-            state = "on " if cell["pruning"] else "off"
             print(
-                f"prune  {state} {cell['throughput_qps']:8.1f} q/s  "
+                f"prune  {cell['throughput_qps']:8.1f} q/s  "
                 f"p50={latency['p50']:.2f}ms p99={latency['p99']:.2f}ms "
                 f"— {cell['shards_pruned']}/{cell['shard_queries']} "
                 f"shard-queries skipped, answers identical"
@@ -826,23 +816,16 @@ def _cmd_shard_stats(args: argparse.Namespace) -> int:
             )
         else:
             liveness = "host=thread"
-        summary = row.get("summary")
-        sketch = (
-            f"labels={summary['labels']} pairs={summary['pairs']} "
-            f"source={summary['source']}"
-            if summary else "summary=none"
-        )
         breaker = row.get("breaker", {})
         print(
             f"shard {row['shard']}: {row['graphs']} graphs "
-            f"[{row['algorithm']}] {liveness} {sketch} "
+            f"[{row['algorithm']}] {liveness} "
             f"breaker={breaker.get('state', '?')}"
         )
     pruning = stats.get("pruning")
     if pruning:
         print(
-            f"pruning {'on' if pruning['enabled'] else 'off'} "
-            f"({pruning['shard_host']} host): "
+            f"pruning ({pruning['shard_host']} host): "
             f"{pruning['shards_pruned']}/{pruning['shard_queries']} "
             f"shard-queries pruned "
             f"(rate {pruning['prune_rate']:.2f})"

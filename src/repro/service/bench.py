@@ -161,7 +161,6 @@ class _ServiceUnderTest:
                  breaker_cooldown: float = 1.0,
                  shards: int | None = None,
                  shard_host: str = "thread",
-                 pruning: bool = True,
                  partitioner: str = "hash",
                  database=None) -> None:
         self._config = config
@@ -172,7 +171,6 @@ class _ServiceUnderTest:
         self._breaker_cooldown = breaker_cooldown
         self._shards = shards
         self._shard_host = shard_host
-        self._pruning = pruning
         self._partitioner = partitioner
         self._database = database
         self._tmp = tempfile.TemporaryDirectory(prefix="repro-bench-serve-")
@@ -202,7 +200,6 @@ class _ServiceUnderTest:
                     if self._jobs > 1 else None
                 ),
                 shard_host=self._shard_host,
-                pruning=self._pruning,
                 partitioner=self._partitioner,
             )
         else:
@@ -784,61 +781,55 @@ def _skewed_workload(config: BenchServeConfig):
 
 
 def _pruning_cells(config: BenchServeConfig) -> dict:
-    """Label-summary pruning on vs off over the skewed workload.
+    """Seed-screen shard pruning over the skewed workload.
 
-    Both cells must answer bit-identically to the unsharded reference;
-    the pruning-on cell must actually skip shards (``shards_pruned`` in
-    the service's counters), or the sweep is measuring nothing.
+    The cell must answer bit-identically to the unsharded reference and
+    must actually skip shards (``shards_pruned`` in the service's
+    counters), or the sweep is measuring nothing.
     """
     db, queries = _skewed_workload(config)
     with create_engine(db, config.algorithm) as reference:
         reference.build_index()
         expected = [sorted(r.answers) for r in reference.query_many(queries)]
-    cells: list[dict] = []
-    concurrency = max(config.concurrency)
-    for pruning in (True, False):
-        with _ServiceUnderTest(
-            config, cache_on=False, shards=2, partitioner="modulo",
-            pruning=pruning, database=db,
-        ) as under_test:
-            with ServiceClient(under_test.address) as client:
-                for query, answers in zip(queries, expected):
-                    result = client.query(query, time_limit=config.time_limit)
-                    if result.get("failure") or result.get("timed_out"):
-                        raise RuntimeError(
-                            f"pruning cell (pruning={pruning}) failed a "
-                            f"query: {result.get('failure')!r}"
-                        )
-                    if sorted(result["answers"]) != answers:
-                        raise RuntimeError(
-                            f"pruning cell (pruning={pruning}) diverged "
-                            f"from the unsharded reference: "
-                            f"{sorted(result['answers'])} != {answers}"
-                        )
-            cell = _run_closed_loop(
-                under_test.address, queries, config, concurrency
-            )
-            with ServiceClient(under_test.address) as client:
-                prune_stats = client.stats()["pruning"]
-        if cell["failures"] or cell["crashes"]:
-            raise RuntimeError(
-                f"pruning cell (pruning={pruning}) saw {cell['failures']} "
-                "failures under load with every shard up"
-            )
-        if pruning and prune_stats["shards_pruned"] < 1:
-            raise RuntimeError(
-                "pruning cell skipped no shards on the label-skewed "
-                "workload — the summary oracle is not firing"
-            )
-        cell.update({
-            "pruning": pruning,
-            "parity": "identical",
-            "shard_queries": prune_stats["shard_queries"],
-            "shards_pruned": prune_stats["shards_pruned"],
-            "prune_rate": prune_stats["prune_rate"],
-        })
-        cells.append(cell)
-    return {"queries": len(expected), "shards": 2, "cells": cells}
+    with _ServiceUnderTest(
+        config, cache_on=False, shards=2, partitioner="modulo", database=db,
+    ) as under_test:
+        with ServiceClient(under_test.address) as client:
+            for query, answers in zip(queries, expected):
+                result = client.query(query, time_limit=config.time_limit)
+                if result.get("failure") or result.get("timed_out"):
+                    raise RuntimeError(
+                        f"pruning cell failed a query: "
+                        f"{result.get('failure')!r}"
+                    )
+                if sorted(result["answers"]) != answers:
+                    raise RuntimeError(
+                        f"pruning cell diverged from the unsharded "
+                        f"reference: {sorted(result['answers'])} != {answers}"
+                    )
+        cell = _run_closed_loop(
+            under_test.address, queries, config, max(config.concurrency)
+        )
+        with ServiceClient(under_test.address) as client:
+            prune_stats = client.stats()["pruning"]
+    if cell["failures"] or cell["crashes"]:
+        raise RuntimeError(
+            f"pruning cell saw {cell['failures']} failures under load with "
+            "every shard up"
+        )
+    if prune_stats["shards_pruned"] < 1:
+        raise RuntimeError(
+            "pruning cell skipped no shards on the label-skewed workload — "
+            "the seed screen is not firing"
+        )
+    cell.update({
+        "pruning": True,
+        "parity": "identical",
+        "shard_queries": prune_stats["shard_queries"],
+        "shards_pruned": prune_stats["shards_pruned"],
+        "prune_rate": prune_stats["prune_rate"],
+    })
+    return {"queries": len(expected), "shards": 2, "cells": [cell]}
 
 
 def run_resilience_bench(config: BenchServeConfig | None = None) -> dict:

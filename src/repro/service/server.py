@@ -909,7 +909,7 @@ class QueryService:
                 engine.shard_stats()
                 if hasattr(engine, "shard_stats") else None
             ),
-            # Router label-summary pruning counters (None when unsharded).
+            # Router seed-screen pruning counters (None when unsharded).
             "pruning": (
                 engine.prune_stats()
                 if hasattr(engine, "prune_stats") else None

@@ -20,7 +20,6 @@ from repro.shard.partition import (
     create_partitioner,
 )
 from repro.shard.router import ShardRouter
-from repro.shard.summary import ShardSummary
 
 __all__ = [
     "MANIFEST_NAME",
@@ -31,7 +30,6 @@ __all__ = [
     "Partitioner",
     "ShardProcessHost",
     "ShardRouter",
-    "ShardSummary",
     "ShardWorkerError",
     "ShardedEngine",
     "create_partitioner",

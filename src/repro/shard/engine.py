@@ -61,10 +61,9 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.engine import SubgraphQueryEngine
 from repro.graph.database import GraphDatabase
 from repro.service.resilience import CircuitBreaker
-from repro.shard.host import ShardProcessHost, recover_summary
+from repro.shard.host import ShardProcessHost
 from repro.shard.partition import Partitioner, create_partitioner
 from repro.shard.router import ShardRouter
-from repro.shard.summary import ShardSummary
 from repro.store import IndexStore
 from repro.utils.errors import ConfigurationError
 from repro.utils.fsio import atomic_write_text
@@ -96,8 +95,8 @@ class _Shard:
     under the process host it is a lightweight *mirror* (database copy +
     post-build attributes reconciled from the worker's ready message)
     and the authoritative engine lives in the shard's worker process.
-    ``summary`` is the label summary the router prunes against — always
-    parent-side, kept current by the mutation path in both modes.
+    Either way ``engine.db`` is parent-side and current, so the router
+    prunes against its seed screen.
     """
 
     index: int
@@ -105,8 +104,6 @@ class _Shard:
     breaker: CircuitBreaker
     histogram: LatencyHistogram
     store_dir: Path | None = None
-    summary: ShardSummary | None = None
-    summary_source: str | None = None
     #: Process host only: the worker's journal state, mirrored from its
     #: replies so the service's compaction trigger sees real depths.
     wal_depth: int = 0
@@ -235,7 +232,6 @@ class ShardedEngine:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 1.0,
         shard_host: str = "thread",
-        pruning: bool = True,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError("num_shards must be at least 1")
@@ -254,7 +250,6 @@ class ShardedEngine:
             if isinstance(partitioner, str) else partitioner
         )
         self.shard_host = shard_host
-        self.pruning = bool(pruning)
         self._pipeline_factory = pipeline_factory
         self._executor_factory = executor_factory
         self._cache_capacity = cache
@@ -301,7 +296,6 @@ class ShardedEngine:
         host = self._host
         self.router = ShardRouter(
             self._shards,
-            prune=self._prunable,
             runner=(
                 None if host is None
                 else lambda shard, queries, time_limit: host.query_many(
@@ -413,16 +407,6 @@ class ShardedEngine:
         engine.store_save_error = info["store_save_error"]
         engine.wal_recovery = info["wal_recovery"]
         engine.recovered_request_keys = list(info["recovered_request_keys"])
-        shard.summary = ShardSummary.from_dict(info["summary"])
-        shard.summary_source = info["summary_source"]
-
-    def _prunable(self, shard: _Shard, query: "Graph") -> bool:
-        """True when the router may soundly skip ``shard`` for ``query``."""
-        return (
-            self.pruning
-            and shard.summary is not None
-            and not shard.summary.can_contain(query)
-        )
 
     def _require_workers(self) -> None:
         if self._host is not None and not self._index_built:
@@ -444,7 +428,7 @@ class ShardedEngine:
     ) -> None:
         if self._host is not None:
             # The worker journals + applies + indexes; only after its ack
-            # does the parent mirror the insertion and fold the summary.
+            # does the parent mirror the insertion.
             state = self._host.add_graph(
                 shard.index, gid, graph, request_key=request_key
             )
@@ -453,25 +437,17 @@ class ShardedEngine:
             shard.wal_last_seq = state["wal_last_seq"]
         else:
             shard.engine.add_graph_with_id(gid, graph, request_key=request_key)
-        if shard.summary is not None:
-            shard.summary.add_graph(graph)
 
     def _shard_remove(
         self, shard: _Shard, gid: int, request_key: str | None = None
     ) -> "Graph":
-        if self._host is not None:
-            state = self._host.remove_graph(
-                shard.index, gid, request_key=request_key
-            )
-            removed = state["graph"]
-            shard.engine.db.remove_graph(gid)
-            shard.wal_depth = state["wal_depth"]
-            shard.wal_last_seq = state["wal_last_seq"]
-        else:
-            removed = shard.engine.remove_graph(gid, request_key=request_key)
-        if shard.summary is not None:
-            shard.summary.remove_graph(removed)
-        return removed
+        if self._host is None:
+            return shard.engine.remove_graph(gid, request_key=request_key)
+        state = self._host.remove_graph(shard.index, gid, request_key=request_key)
+        shard.engine.db.remove_graph(gid)
+        shard.wal_depth = state["wal_depth"]
+        shard.wal_last_seq = state["wal_last_seq"]
+        return state["graph"]
 
     def _load_or_create_manifest(self, num_shards: int) -> int:
         """Returns ``seed_shards``; validates or writes the manifest."""
@@ -588,9 +564,6 @@ class ShardedEngine:
                 )
                 total += shard.engine.build_index(
                     time_limit, fallback, store=shard_store
-                )
-                shard.summary, shard.summary_source = recover_summary(
-                    shard.engine
                 )
             keys.extend(shard.engine.recovered_request_keys)
             sources.add(shard.engine.index_source)
@@ -770,9 +743,6 @@ class ShardedEngine:
                             store=IndexStore(shard.store_dir)
                             if shard.store_dir is not None else None
                         )
-                        shard.summary, shard.summary_source = recover_summary(
-                            shard.engine
-                        )
         moved = healed = 0
         for shard in list(self._shards):
             for gid in list(shard.engine.db.ids()):
@@ -832,17 +802,6 @@ class ShardedEngine:
                 shard.engine.compactions += 1
             else:
                 summary = shard.engine.compact_store()
-                if shard.summary is not None and shard.engine.store is not None:
-                    # Compaction folds the journal; re-stamp the advisory
-                    # summary at the folded position so the next warm
-                    # start loads it instead of rebuilding.
-                    try:
-                        shard.engine.store.save_summary(
-                            shard.summary.to_dict(),
-                            wal_seq=summary["wal_seq"],
-                        )
-                    except OSError:
-                        pass
             per_shard.append({"shard": shard.index, **summary})
         self.compactions += 1
         return {
@@ -902,15 +861,6 @@ class ShardedEngine:
                     self._host.worker_row(shard.index)
                     if self._host is not None else None
                 ),
-                "summary": (
-                    {
-                        "graphs": shard.summary.graphs,
-                        "labels": len(shard.summary.label_counts),
-                        "pairs": len(shard.summary.pair_counts),
-                        "source": shard.summary_source,
-                    }
-                    if shard.summary is not None else None
-                ),
             }
             for shard in self._shards
         ]
@@ -923,7 +873,6 @@ class ShardedEngine:
         """
         considered, pruned = self.router.prune_counters()
         return {
-            "enabled": self.pruning,
             "shard_host": self.shard_host,
             "shard_queries": considered,
             "shards_pruned": pruned,

@@ -11,7 +11,7 @@ respawn behind a :class:`~repro.exec.worker.RestartBackoff`) but at
 *shard* granularity: the child owns the whole shard —
 its pipeline, its index, its ``IndexStore`` subdirectory, and its
 write-ahead mutation log — and the parent keeps only a lightweight
-mirror of the shard's database for routing, rebalancing, and summaries.
+mirror of the shard's database for routing, rebalancing, and pruning.
 
 Protocol (parent -> child, child -> parent)::
 
@@ -27,11 +27,10 @@ Protocol (parent -> child, child -> parent)::
 
 The ``ready`` info ships the child's *recovered* database contents plus
 the engine's post-build attributes (``wal_recovery``, ``index_source``,
-``degraded``, recovered request keys, the shard's label summary), so the
-parent can reconcile its mirror with whatever WAL replay produced inside
-the child.  WAL ownership is strictly in-child: the parent never opens a
-shard's store in process mode, so there is exactly one journal writer
-per directory.
+``degraded``, recovered request keys), so the parent can reconcile its
+mirror with whatever WAL replay produced inside the child.  WAL ownership
+is strictly in-child: the parent never opens a shard's store in process
+mode, so there is exactly one journal writer per directory.
 
 Crash semantics: a worker that dies mid-batch fails that batch — the
 router flags the merged results partial, exactly like a downed thread
@@ -82,52 +81,11 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.graph.database import GraphDatabase
     from repro.graph.labeled_graph import Graph
 
-__all__ = ["ShardProcessHost", "ShardWorkerError", "recover_summary"]
+__all__ = ["ShardProcessHost", "ShardWorkerError"]
 
 
 class ShardWorkerError(RuntimeError):
     """A shard's worker process is unavailable (died or cannot start)."""
-
-
-# ----------------------------------------------------------------------
-# Summary recovery (shared by the thread host and the in-child build)
-# ----------------------------------------------------------------------
-
-
-def recover_summary(engine) -> tuple["object", str]:
-    """The shard's label summary after ``build_index``, plus its source.
-
-    Loads the persisted summary when its ``wal_seq`` stamp matches the
-    journal head *and* its graph count matches the recovered database
-    (source ``"store"``); any staleness — a WAL tail replayed past the
-    stamp, a mutation journaled after the last save, a torn or
-    wrong-format file — rebuilds from the recovered database itself
-    (source ``"rebuild"``), which *is* the fold of the replayed journal.
-    The rebuilt summary is re-persisted at the current journal position,
-    so the advisory file heals forward.  Storeless engines always build
-    fresh (source ``"built"``).
-    """
-    from repro.shard.summary import ShardSummary
-
-    store = getattr(engine, "store", None)
-    if store is None:
-        return ShardSummary.from_database(engine.db), "built"
-    loaded = store.load_summary()
-    if loaded is not None:
-        data, wal_seq = loaded
-        if wal_seq == store.wal.last_seq:
-            try:
-                summary = ShardSummary.from_dict(data)
-            except (ValueError, KeyError, TypeError):
-                summary = None
-            if summary is not None and summary.graphs == len(engine.db):
-                return summary, "store"
-    summary = ShardSummary.from_database(engine.db)
-    try:
-        store.save_summary(summary.to_dict(), wal_seq=store.wal.last_seq)
-    except OSError:
-        pass  # advisory artifact; persistence is never a correctness gate
-    return summary, "rebuild"
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +119,6 @@ def _shard_worker_main(
 
             store = IndexStore(store_dir)
         engine.build_index(store=store)
-        summary, summary_source = recover_summary(engine)
 
         def wal_state() -> dict:
             # Mirrored parent-side so the service's journal-depth
@@ -188,8 +145,6 @@ def _shard_worker_main(
                 "store_save_error": engine.store_save_error,
                 "wal_recovery": engine.wal_recovery,
                 "recovered_request_keys": engine.recovered_request_keys,
-                "summary": summary.to_dict(),
-                "summary_source": summary_source,
             },
         ))
     except BaseException:
@@ -216,21 +171,13 @@ def _shard_worker_main(
             elif op == "add":
                 _, gid, graph, request_key = msg
                 engine.add_graph_with_id(gid, graph, request_key=request_key)
-                summary.add_graph(graph)
                 reply = ("ok", wal_state())
             elif op == "remove":
                 _, gid, request_key = msg
                 removed = engine.remove_graph(gid, request_key=request_key)
-                summary.remove_graph(removed)
                 reply = ("ok", {"graph": removed, **wal_state()})
             elif op == "compact":
                 compacted = engine.compact_store()
-                try:
-                    engine.store.save_summary(
-                        summary.to_dict(), wal_seq=compacted["wal_seq"]
-                    )
-                except OSError:
-                    pass
                 reply = ("ok", {"result": compacted, **wal_state()})
             else:  # pragma: no cover - protocol mismatch
                 reply = ("error", RuntimeError(f"unknown op {op!r}"))

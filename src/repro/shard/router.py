@@ -29,19 +29,26 @@ The ``shard.query`` fault site fires per shard per batch (tag
 ``shard-<i>``), so tests and the CI smoke can deterministically take one
 shard down without touching the others.
 
-**Pruning.**  When the owning engine supplies a ``prune`` predicate
-(label-summary pruning, see :mod:`repro.shard.summary`), the router
-skips the (shard, query) pairs it soundly rules out *before* fanning
-out: a shard receives only the sub-batch of queries its summary cannot
-exclude, and a shard with nothing left to do is not dispatched at all.
-A pruned pair is a **full merge participant** — the shard's provable
-contribution is the empty set, so the merged result is *not* partial —
-and is recorded as ``{"shard": i, "pruned": true}`` in the per-shard
-rows.  Pruning even rides out a downed shard: a query the summary rules
-out is complete whether or not that shard is reachable, so only its
-*unpruned* queries degrade to partial.  (The summary lives parent-side
-and is updated synchronously with mutations, so it is never stale with
-respect to acknowledged state.)
+**Pruning.**  Before fanning out, the router skips every (shard, query)
+pair where no graph on the shard holds every query label — the shard
+database's seed screen (:meth:`GraphDatabase.seed_screen
+<repro.graph.database.GraphDatabase.seed_screen>`) asked for the query's
+labels at degree 0.  A subgraph embedding preserves labels, so such a
+shard holds no answer, and every filtering pipeline rejects a graph
+missing a query label, so it holds no candidate either (the naive
+``*-FV`` baselines report every graph as a candidate; see
+``docs/SHARDING.md``).  A shard receives only the sub-batch of queries
+its screen cannot exclude, and a shard with nothing left to do is not
+dispatched at all.  A pruned pair is a **full merge participant** — the
+shard's provable contribution is the empty set, so the merged result is
+*not* partial — and is recorded as ``{"shard": i, "pruned": true}`` in
+the per-shard rows.  Pruning even rides out a downed shard: a query the
+screen rules out is complete whether or not that shard is reachable, so
+only its *unpruned* queries degrade to partial.  (``shard.engine.db`` is
+parent-side under both hosts — the shard's own database, or the process
+host's mirror, which is mutated after every acknowledged mutation and
+restored on every respawn — so the screen is never stale with respect
+to acknowledged state.)
 
 **Host seam.**  The engine may supply a ``runner`` — how one shard
 executes one sub-batch.  The default calls the shard engine in-process
@@ -79,11 +86,9 @@ class ShardRouter:
         self,
         shards: "list[_Shard]",
         *,
-        prune: "Callable[[_Shard, Graph], bool] | None" = None,
         runner: "Callable[[_Shard, list[Graph], float | None], list[QueryResult]] | None" = None,
     ) -> None:
         self._shards = shards
-        self._prune = prune
         self._runner = runner
         self._counter_lock = threading.Lock()
         self._considered = 0
@@ -103,18 +108,18 @@ class ShardRouter:
     ) -> list[QueryResult]:
         """Scatter ``queries`` to every live shard; gather merged results."""
         shards = list(self._shards)
-        # Positions each shard's summary soundly rules out, by shard index.
+        # Positions each shard's seed screen soundly rules out, by shard
+        # index: no graph there holds every label of the query.
+        screens = [[(label, 0) for label in q.label_set()] for q in queries]
         pruned: dict[int, set[int]] = {}
-        if self._prune is not None:
-            for shard in shards:
-                mask = {
-                    i for i, q in enumerate(queries) if self._prune(shard, q)
-                }
-                if mask:
-                    pruned[shard.index] = mask
-            with self._counter_lock:
-                self._considered += len(shards) * len(queries)
-                self._pruned += sum(len(m) for m in pruned.values())
+        for shard in shards:
+            screen = shard.engine.db.seed_screen
+            mask = {i for i, pairs in enumerate(screens) if not screen(pairs)}
+            if mask:
+                pruned[shard.index] = mask
+        with self._counter_lock:
+            self._considered += len(shards) * len(queries)
+            self._pruned += sum(len(m) for m in pruned.values())
         # outcome per shard: ("ok", {position: result}) | ("down", reason)
         outcomes: dict[int, tuple[str, object]] = {}
 
@@ -211,7 +216,7 @@ class ShardRouter:
 
         for shard in shards:
             if index in pruned.get(shard.index, ()):
-                # Summary proved this shard contributes the empty set:
+                # The screen proved this shard contributes the empty set:
                 # a full participant, not a missing shard.
                 contributed += 1
                 per_shard.append({

@@ -58,7 +58,7 @@ from repro.store.wal import (
     graph_to_record,
 )
 from repro.utils.errors import SnapshotError
-from repro.utils.fsio import atomic_write_text, fsync_dir
+from repro.utils.fsio import fsync_dir
 
 __all__ = ["IndexStore", "MutationRecovery"]
 
@@ -71,9 +71,6 @@ DATABASE_SNAPSHOT_NAME = "database.dbsnap"
 
 #: The write-ahead mutation log file inside a store directory.
 WAL_NAME = "mutations.wal"
-
-#: The advisory per-shard label summary (see ``repro.shard.summary``).
-SUMMARY_NAME = "summary.json"
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.-]+")
 
@@ -442,54 +439,6 @@ class IndexStore:
         if gid not in db:
             raise KeyError(f"no graph with id {gid}")
         return self.wal.append_remove(gid, request_key=request_key)
-
-    # ------------------------------------------------------------------
-    # Shard label summary (advisory)
-    # ------------------------------------------------------------------
-
-    @property
-    def summary_path(self) -> Path:
-        return self.directory / SUMMARY_NAME
-
-    def save_summary(self, data: dict, wal_seq: int) -> Path:
-        """Persist a shard label summary beside the snapshots, atomically.
-
-        ``wal_seq`` stamps the journal position the summary reflects, so
-        the next process can tell whether the file is current.  The
-        summary is *advisory*: routing always rebuilds it from the
-        recovered database when the stamp does not match the journal
-        (see :meth:`load_summary`), so a torn or stale file can never
-        make a prune unsound.
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.summary_path
-        atomic_write_text(
-            path,
-            json.dumps(
-                {"wal_seq": wal_seq, "summary": data},
-                indent=2,
-                sort_keys=True,
-            ) + "\n",
-        )
-        return path
-
-    def load_summary(self) -> tuple[dict, int] | None:
-        """The persisted summary and its ``wal_seq`` stamp, or ``None``.
-
-        Any unreadability — missing file, torn JSON, wrong shape — is
-        treated as "no summary" (the caller rebuilds from the database),
-        never an error: the file is a warm-start optimisation, not a
-        source of truth.
-        """
-        try:
-            payload = json.loads(self.summary_path.read_text())
-            data = payload["summary"]
-            wal_seq = payload["wal_seq"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        if not isinstance(data, dict) or not isinstance(wal_seq, int):
-            return None
-        return data, wal_seq
 
     # ------------------------------------------------------------------
     # Verification

@@ -41,9 +41,11 @@ def start_reproduce(tmp_path, journal):
     )
 
 
-def interrupt_after_journal_exists(proc, journal, sig, timeout=120.0):
-    """Send ``sig`` once the run has started journaling (so the signal
-    lands mid-run, not during startup)."""
+def interrupt_after_journal_exists(proc, journal, sig, timeout=120.0,
+                                   min_lines=1):
+    """Send ``sig`` once the journal holds ``min_lines`` complete lines
+    (so the signal lands mid-run, not during startup).  The first line
+    is the config stamp; every later one is a finished matrix cell."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if proc.poll() is not None:
@@ -51,7 +53,7 @@ def interrupt_after_journal_exists(proc, journal, sig, timeout=120.0):
                 f"run finished (rc={proc.returncode}) before the signal; "
                 f"output:\n{proc.communicate()[0]}"
             )
-        if journal.exists() and journal.stat().st_size > 0:
+        if journal.exists() and journal.read_bytes().count(b"\n") >= min_lines:
             break
         time.sleep(0.02)
     else:
@@ -90,8 +92,13 @@ def test_resume_after_interrupt(tmp_path):
     rerun completes and reuses the journaled cells."""
     journal = tmp_path / "run.jsonl"
     proc = start_reproduce(tmp_path, journal)
-    interrupt_after_journal_exists(proc, journal, signal.SIGTERM)
+    interrupt_after_journal_exists(
+        proc, journal, signal.SIGTERM, min_lines=2
+    )
     before = journal.read_text().splitlines()
+    # The config stamp and at least one matrix cell, or the rerun would
+    # have nothing but the stamp to resume from.
+    assert len(before) >= 2
     keys_before = {json.dumps(json.loads(line)["key"]) for line in before}
 
     rerun = start_reproduce(tmp_path, journal)

@@ -140,6 +140,12 @@ class TestMatrixResume:
         resumed = self.run_matrix(config)
         # Grapes was fully journaled; only CFQL needed an engine again.
         assert count_engine_builds == ["CFQL"]
+        # ...and the rerun records only the missing cells: CFQL's index
+        # cell is replayed, not journaled a second time.
+        rerun = path.read_text().splitlines()[5:]
+        assert [json.loads(line)["key"] for line in rerun] == [
+            json.loads(line)["key"] for line in lines[5:]
+        ]
         assert resumed.index_build == first.index_build
         assert set(report_dicts(resumed)) == set(report_dicts(first))
         grapes_keys = [k for k in first.reports if k[1] == "Grapes"]

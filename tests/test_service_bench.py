@@ -96,18 +96,16 @@ class TestShardingSweep:
 
     def test_pruning_cells_skip_shards_with_parity(self, tiny_report):
         sweep = tiny_report["pruning"]
-        assert [c["pruning"] for c in sweep["cells"]] == [True, False]
-        on, off = sweep["cells"]
-        for cell in (on, off):
-            assert cell["parity"] == "identical"
-            assert cell["failures"] == 0
-            assert cell["throughput_qps"] > 0
+        assert [c["pruning"] for c in sweep["cells"]] == [True]
+        (on,) = sweep["cells"]
+        assert on["parity"] == "identical"
+        assert on["failures"] == 0
+        assert on["throughput_qps"] > 0
         # The label-skewed workload makes every query prunable on one of
-        # the two shards; with pruning off the counters stay at zero.
+        # the two shards.
         assert on["shards_pruned"] >= 1
         assert on["shard_queries"] >= on["shards_pruned"]
         assert 0 < on["prune_rate"] <= 1.0
-        assert off["shards_pruned"] == 0
 
 
 class TestDurabilityCell:

@@ -13,15 +13,18 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import create_engine, create_pipeline
 from repro.exec import create_executor, faults
 from repro.exec.worker import hard_deadline
-from repro.graph import GraphDatabase, generate_database
+from repro.graph import GraphDatabase, generate_database, random_walk_query
 from repro.graph.labeled_graph import Graph
-from repro.shard import ShardedEngine
+from repro.shard import Partitioner, ShardedEngine
 from repro.utils.errors import ConfigurationError
 from repro.workloads.querysets import generate_query_set
+from strategies import connected_graphs
 
 ALGORITHM = "Grapes"
 
@@ -318,7 +321,7 @@ def test_process_host_parity_after_mutations(workload):
 
 
 # ---------------------------------------------------------------------------
-# Label-summary pruning
+# Seed-screen pruning
 # ---------------------------------------------------------------------------
 
 
@@ -363,34 +366,13 @@ def test_pruning_bit_identical_with_counters(shard_host):
             if row.get("pruned")
         ]
         assert len(pruned_rows) == 1
-    assert stats["enabled"]
     assert stats["shard_queries"] == 4
     assert stats["shards_pruned"] == 2
     assert stats["prune_rate"] == pytest.approx(0.5)
 
 
-def test_pruning_disabled_same_answers():
-    db, queries = skewed_workload()
-    with ShardedEngine(
-        db, 2, lambda: create_pipeline(ALGORITHM),
-        partitioner="modulo", pruning=False,
-    ) as engine:
-        engine.build_index()
-        on_rows = engine.query_many(queries)
-        assert engine.prune_stats()["shards_pruned"] == 0
-        assert not engine.prune_stats()["enabled"]
-    with ShardedEngine(
-        db, 2, lambda: create_pipeline(ALGORITHM), partitioner="modulo",
-    ) as engine:
-        engine.build_index()
-        off_rows = engine.query_many(queries)
-    for a, b in zip(on_rows, off_rows):
-        assert sorted(a.answers) == sorted(b.answers)
-        assert sorted(a.candidates) == sorted(b.candidates)
-
-
 @pytest.mark.parametrize("shard_host", ["thread", "process"])
-def test_pruning_tracks_summary_changing_mutations(shard_host):
+def test_pruning_tracks_label_changing_mutations(shard_host):
     """A mutation that changes a shard's label population immediately
     changes what the router may prune — and answers stay bit-identical
     to a fresh unsharded engine at every step."""
@@ -429,7 +411,7 @@ def test_pruning_tracks_summary_changing_mutations(shard_host):
 
 
 def test_pruned_shard_down_is_not_partial():
-    """A query the summary rules out on the downed shard stays complete:
+    """A query the screen rules out on the downed shard stays complete:
     the shard's contribution is provably empty whether it is up or not."""
     db, queries = skewed_workload()
     q_even, q_odd = queries
@@ -446,3 +428,144 @@ def test_pruned_shard_down_is_not_partial():
         assert odd_result.metadata.get("partial")
         assert not even_result.metadata.get("partial")
         assert sorted(even_result.answers) == [0, 2, 4, 6]
+
+
+def pruned_pairs(results) -> set[tuple[int, int]]:
+    """The (query position, shard) pairs the router pruned."""
+    return {
+        (position, row["shard"])
+        for position, result in enumerate(results)
+        for row in result.metadata["shards"]["per_shard"]
+        if row.get("pruned")
+    }
+
+
+@pytest.mark.parametrize("shard_host", ["thread", "process"])
+def test_pruning_survives_warm_start(shard_host, tmp_path):
+    """A durable fleet reopened from its store prunes the same pairs it
+    pruned before the close — the screen is rebuilt from the recovered
+    shard databases, so no pruning state is persisted beside them."""
+    db, queries = skewed_workload()
+    store_root = tmp_path / "store"
+
+    def open_fleet() -> ShardedEngine:
+        return ShardedEngine(
+            db, 2, lambda: create_pipeline(ALGORITHM),
+            partitioner="modulo", store_root=store_root,
+            shard_host=shard_host,
+        )
+
+    with open_fleet() as engine:
+        engine.build_index()
+        # next_id = 8 lands an odd-family graph on shard 0, 9 an
+        # even-family one on shard 1; only the second is removed again,
+        # after a compaction, so recovery folds a snapshot and replays.
+        engine.add_graph(Graph.from_edge_list(
+            [2, 3, 2], [(0, 1), (1, 2)], name="late-odd",
+        ))
+        even = engine.add_graph(Graph.from_edge_list(
+            [0, 1, 0], [(0, 1), (1, 2)], name="late-even",
+        ))
+        engine.compact_store()
+        engine.remove_graph(even)
+        before = engine.query_many(queries)
+    assert pruned_pairs(before) == {(0, 1)}
+
+    with open_fleet() as engine:
+        engine.build_index()
+        after = engine.query_many(queries)
+    assert pruned_pairs(after) == pruned_pairs(before)
+    for a, b in zip(after, before):
+        assert sorted(a.answers) == sorted(b.answers)
+        assert sorted(a.candidates) == sorted(b.candidates)
+    assert not list(store_root.rglob("summary.json"))
+
+
+# The pipelines the prune rule is neutral for: each rejects a graph that
+# misses a query label, so a shard where no graph holds every query label
+# yields neither answers nor candidates.  CT-Index is left out: its
+# features are hashed into a fixed-width fingerprint, so a collision can
+# make a graph missing a query label a candidate — pruning that shard
+# keeps the answers but can shrink CT-Index's candidate set.  The naive
+# ``*-FV`` baselines are out too: they report every graph as a candidate.
+PRUNE_NEUTRAL = [
+    "CFQL", "GraphQL", "CFL", "TurboIso",
+    "Grapes", "GGSX", "vcGrapes", "vcGGSX",
+]
+
+
+class _DrawnPlacement(Partitioner):
+    """Places each graph id on the shard hypothesis drew for it."""
+
+    name = "drawn"
+
+    def __init__(self, owners: list[int]) -> None:
+        self._owners = owners
+
+    def owner(self, gid: int, num_shards: int) -> int:
+        return self._owners[gid]
+
+
+@st.composite
+def prune_instances(draw):
+    """(database, shard owner per graph id, shard count, query drawn from
+    one of the graphs)."""
+    graphs = draw(st.lists(
+        connected_graphs(min_vertices=2, max_vertices=7, max_labels=5),
+        min_size=2, max_size=8,
+    ))
+    db = GraphDatabase(name="prune-prop")
+    db.add_graphs(graphs)
+    num_shards = draw(st.integers(2, 4))
+    owners = draw(st.lists(
+        st.integers(0, num_shards - 1),
+        min_size=len(graphs), max_size=len(graphs),
+    ))
+    source = draw(st.sampled_from(graphs))
+    seed = draw(st.integers(0, 2**32 - 1))
+    query = (
+        random_walk_query(source, draw(st.integers(1, 4)), seed=seed)
+        or random_walk_query(source, 1, seed=seed)
+    )
+    return db, owners, num_shards, query
+
+
+def _star_beside_chain():
+    """A degree-3 star query whose source sits on shard 0, and a chain on
+    shard 1 that holds every 1- and 2-edge label path of the star, but at
+    vertices of degree 2.  The path indexes keep the chain as a candidate,
+    so a prune rule that also asks for degrees would drop a candidate."""
+    star = Graph.from_edge_list([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    chain = Graph.from_edge_list(
+        [1, 0, 2, 0, 3, 0, 1], [(i, i + 1) for i in range(6)]
+    )
+    db = GraphDatabase(name="star-chain")
+    db.add_graphs([star, chain])
+    return db, [0, 1], 2, star
+
+
+@settings(max_examples=60, deadline=None)
+@given(prune_instances())
+@example(_star_beside_chain())
+def test_pruned_shards_hold_no_answers_or_candidates(instance):
+    """Every shard the router prunes, queried unpruned, gives empty
+    answers and empty candidates under every label-rejecting pipeline."""
+    db, owners, num_shards, query = instance
+    with ShardedEngine(
+        db, num_shards, lambda: create_pipeline("CFQL"),
+        partitioner=_DrawnPlacement(owners),
+    ) as engine:
+        engine.build_index()
+        pruned = {shard for _, shard in pruned_pairs([engine.query(query)])}
+    for shard in pruned:
+        shard_db = GraphDatabase(name=f"pruned-{shard}")
+        for gid, graph in db.items():
+            if owners[gid] == shard:
+                shard_db.add_graph_with_id(gid, graph)
+        for algorithm in PRUNE_NEUTRAL:
+            with create_engine(shard_db, algorithm) as unpruned:
+                unpruned.build_index()
+                result = unpruned.query(query)
+            assert result.failure is None, (algorithm, shard)
+            assert not result.answers, (algorithm, shard)
+            assert not result.candidates, (algorithm, shard)
