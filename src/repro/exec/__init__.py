@@ -11,14 +11,16 @@ harness and the query pipelines:
 * :mod:`repro.exec.worker` — the one worker-process primitive
   (:class:`~repro.exec.worker.WorkerProcess`: a killable child on a
   duplex pipe, ``recv`` with timeout and drain-after-death, ``scrap``;
-  :class:`~repro.exec.worker.RestartBackoff`; the hard-deadline rule)
-  that the pool below and the shard process host are both built on;
+  the hard-deadline rule) that the pool below and the shard process host
+  are both built on, and :class:`~repro.exec.worker.Health`, the one
+  failure throttle (backoff and breaker), one per pool or shard;
 * :mod:`repro.exec.parallel` — :class:`ParallelExecutor`, the pool: it
   streams queries through ``jobs`` such workers with per-job hard
-  wall-clock limits, a memory cap, crash containment and bounded retry;
-  :class:`SubprocessExecutor` is that pool with one worker;
+  wall-clock limits, a memory cap, crash containment and bounded retry,
+  behind its ``health``; :class:`SubprocessExecutor` is that pool with
+  one worker;
 * :mod:`repro.exec.supervise` — :class:`SupervisedExecutor`, the
-  service-grade pool with restart backoff and a restart-storm fuse;
+  service-grade pool: the same pool with a ``Health`` that opens;
 * :mod:`repro.exec.journal` — the append-only JSONL journal that makes
   benchmark matrices resumable;
 * :mod:`repro.exec.faults` — deterministic fault injection used by tests
@@ -37,9 +39,11 @@ from repro.exec.base import (
 from repro.exec.journal import RunJournal
 from repro.exec.parallel import ParallelExecutor, SubprocessExecutor
 from repro.exec.supervise import SupervisedExecutor
+from repro.exec.worker import Health
 
 __all__ = [
     "EXECUTOR_NAMES",
+    "Health",
     "InProcessExecutor",
     "ParallelExecutor",
     "QueryExecutor",

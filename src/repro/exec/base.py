@@ -27,6 +27,7 @@ from repro.utils.timing import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.pipeline import QueryPipeline
+    from repro.exec.worker import Health
     from repro.graph.database import GraphDatabase
     from repro.graph.labeled_graph import Graph
     from repro.matching.plan import QueryPlan
@@ -96,6 +97,10 @@ class QueryExecutor(ABC):
     :class:`~repro.core.metrics.QueryResult` (possibly carrying a
     :class:`~repro.core.metrics.QueryFailure`).
     """
+
+    #: The :class:`~repro.exec.worker.Health` of the executor's worker
+    #: pool; ``None`` when it has no worker to lose.
+    health: "Health | None" = None
 
     @abstractmethod
     def submit(
@@ -244,7 +249,7 @@ def create_executor(name: str = "inprocess", **kwargs) -> QueryExecutor:
     ``kwargs`` reach the executor constructor (e.g.
     ``memory_limit_mb=512``, ``jobs=4``).  The three process-backed
     names are one pool: ``subprocess`` is ``parallel`` with one worker,
-    ``supervised`` is ``parallel`` with respawn backoff and a storm fuse.
+    ``supervised`` is ``parallel`` whose ``Health`` opens.
     """
     if name == "inprocess":
         return InProcessExecutor()

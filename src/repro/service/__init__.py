@@ -8,12 +8,13 @@ queries over a socket for the life of the process —
   protocol, graph codec and address parsing;
 * :mod:`repro.service.server` — :class:`QueryService`: bounded-queue
   admission control, the batching scheduler, the exact-match result
-  cache, graceful drain and the ``stats`` verb;
+  cache, the ``degraded`` fast-fail read from the engine's pool
+  :class:`~repro.exec.worker.Health` (an engine with no pool never
+  answers ``degraded``), graceful drain and the ``stats`` verb;
 * :mod:`repro.service.client` — the blocking :class:`ServiceClient`
   library with bounded retry/backoff (and :func:`wait_for_service` for
   scripts and tests);
-* :mod:`repro.service.resilience` — the :class:`CircuitBreaker` and
-  mutation-retry dedup window behind the service's degraded mode;
+* :mod:`repro.service.resilience` — the mutation-retry dedup window;
 * :mod:`repro.service.bench` — the closed-/open-loop load generator
   behind ``repro bench-serve`` (including the ``--chaos`` suite).
 """
@@ -31,11 +32,10 @@ from repro.service.protocol import (
     graph_key,
     graph_to_wire,
 )
-from repro.service.resilience import CircuitBreaker, MutationDedup
+from repro.service.resilience import MutationDedup
 from repro.service.server import QueryService, ServiceConfig
 
 __all__ = [
-    "CircuitBreaker",
     "MutationDedup",
     "PROTOCOL_VERSION",
     "ProtocolError",

@@ -32,9 +32,10 @@ written to ``BENCH_serve.json`` by ``repro bench-serve``.
 
 ``repro bench-serve --chaos`` additionally runs the **resilience suite**
 (:func:`run_resilience_bench`): supervised-vs-in-process overhead cells,
-a scripted breaker lifecycle (crash storm → ``degraded`` rejections →
-recovery probe), and a chaos cell that injects ``worker.query`` crashes
-into ~10 % of executions under closed-loop load, and a durability cell
+a scripted breaker lifecycle of the pool's ``Health`` (crash storm →
+``degraded`` rejections → recovery probe), and a chaos cell that
+injects ``worker.query`` crashes into ~10 % of executions under
+closed-loop load, and a durability cell
 that prices the write-ahead mutation log and proves recovery replays
 every journaled mutation bit-identically.  The chaos and durability
 cells are self-asserting — the service must survive, every request must
@@ -54,7 +55,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 from repro.core.algorithms import create_engine
-from repro.exec import create_executor, faults
+from repro.exec import Health, create_executor, faults
 from repro.graph.database import GraphDatabase
 from repro.graph.generators import generate_database
 from repro.service.client import ServiceClient, ServiceError, wait_for_service
@@ -151,14 +152,13 @@ class _ServiceUnderTest:
 
     ``executor`` overrides the default choice (``parallel`` when
     ``config.jobs > 1``, in-process otherwise): the resilience suite
-    passes ``"supervised"``/``"inprocess"`` explicitly and tunes the
-    breaker through ``breaker_threshold``/``breaker_cooldown``.
+    passes ``"supervised"``/``"inprocess"`` explicitly, and arms that
+    pool with ``health``.
     """
 
     def __init__(self, config: BenchServeConfig, cache_on: bool, *,
                  executor: str | None = None, jobs: int | None = None,
-                 breaker_threshold: int = 5,
-                 breaker_cooldown: float = 1.0,
+                 health: Health | None = None,
                  shards: int | None = None,
                  shard_host: str = "thread",
                  partitioner: str = "hash",
@@ -167,8 +167,7 @@ class _ServiceUnderTest:
         self._cache_on = cache_on
         self._executor = executor
         self._jobs = config.jobs if jobs is None else jobs
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
+        self._health = health
         self._shards = shards
         self._shard_host = shard_host
         self._partitioner = partitioner
@@ -211,7 +210,9 @@ class _ServiceUnderTest:
             elif self._executor == "inprocess":
                 executor = None
             else:
-                executor = create_executor(self._executor, jobs=self._jobs)
+                executor = create_executor(
+                    self._executor, jobs=self._jobs, health=self._health
+                )
             engine = create_engine(db, config.algorithm, executor=executor)
         engine.build_index()
         self.service = QueryService(
@@ -221,8 +222,6 @@ class _ServiceUnderTest:
                 batch_max=config.batch_max,
                 cache_capacity=config.cache_capacity if self._cache_on else 0,
                 default_time_limit=config.time_limit,
-                breaker_threshold=self._breaker_threshold,
-                breaker_cooldown=self._breaker_cooldown,
             ),
         )
 
@@ -468,19 +467,21 @@ def _overhead_cells(config: BenchServeConfig, queries) -> list[dict]:
 
 
 def _breaker_lifecycle(config: BenchServeConfig, queries) -> dict:
-    """Drive the breaker through closed → open → half-open → closed.
+    """Drive the pool's Health through closed → open → half-open → closed.
 
     Phase A arms a 100 % ``worker.query`` crash (a storm, not the chaos
-    cell's background rate — consecutive failures are what open a
-    breaker) and queries until a ``degraded`` rejection proves it open.
-    Phase B disarms the fault and probes until a clean answer proves the
-    half-open probe closed it again.
+    cell's background rate — consecutive failures are what open it) and
+    queries until a ``degraded`` rejection proves it open.  Phase B
+    disarms the fault and probes until a clean answer proves the
+    half-open probe closed it again.  ``stats.breaker`` and
+    ``stats.workers`` read the same Health, so the cell reports the
+    pool's ``storm_trips`` beside the breaker's ``transitions``.
     """
     threshold, cooldown = 3, 0.4
     with _ServiceUnderTest(
         config, cache_on=False,
         executor="supervised", jobs=config.resilience_jobs,
-        breaker_threshold=threshold, breaker_cooldown=cooldown,
+        health=Health(threshold, cooldown),
     ) as under_test:
         try:
             faults.inject("worker.query", "crash")
@@ -523,6 +524,7 @@ def _breaker_lifecycle(config: BenchServeConfig, queries) -> dict:
         "state_while_open": state_open,
         "state_final": final["breaker"]["state"],
         "transitions": transitions,
+        "storm_trips": (final["workers"] or {}).get("storm_trips", 0),
         "worker_restarts": (final["workers"] or {}).get("restarts", 0),
     }
     for required in ("closed->open", "open->half_open", "half_open->closed"):
@@ -548,7 +550,7 @@ def _chaos_cell(config: BenchServeConfig, queries) -> dict:
     with _ServiceUnderTest(
         config, cache_on=False,
         executor="supervised", jobs=config.resilience_jobs,
-        breaker_threshold=5, breaker_cooldown=0.25,
+        health=Health(5, 0.25),
     ) as under_test:
         try:
             faults.inject(

@@ -73,10 +73,10 @@ MAX_LINE_BYTES = 4 * 1024 * 1024
 #: * ``bad_request``    — unparsable line or malformed/unknown operation;
 #: * ``overloaded``     — the bounded request queue is full (back off and
 #:   retry; never queued, never hangs);
-#: * ``degraded``       — the circuit breaker is open after consecutive
-#:   worker crashes; the error carries ``retry_after_s``, the earliest
-#:   time the service will probe the pool again (back off at least that
-#:   long and retry);
+#: * ``degraded``       — the engine's worker pool is open after
+#:   consecutive worker failures; the error carries ``retry_after_s``,
+#:   the earliest time the pool will probe a worker again (back off at
+#:   least that long and retry);
 #: * ``shutting_down``  — the service is draining and accepts no new work;
 #: * ``not_found``      — the named entity does not exist (e.g.
 #:   ``remove_graph`` of an unknown graph id).  Terminal: retrying the

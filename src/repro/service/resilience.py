@@ -1,133 +1,25 @@
-"""Service-level resilience primitives: circuit breaker, mutation dedup.
+"""Service-level resilience: mutation dedup.
 
-These are the pieces of the service's degraded mode that are pure state
-machines — no sockets, no threads of their own — so they can be tested
-exhaustively in isolation and driven by the scheduler thread (queries)
-and connection threads (stats snapshots) without surprises.
+:class:`MutationDedup` is a pure state machine — no sockets, no threads
+of its own — so it can be tested exhaustively in isolation and driven by
+the scheduler thread while connection threads snapshot it for ``stats``.
+A client retrying an ``add_graph`` after a lost response must not insert
+the graph twice.  Mutations carrying a client-generated ``request_key``
+are remembered in a bounded LRU window; a retry whose key is still in
+the window is answered with the recorded response instead of re-applying
+the mutation.
 
-**Circuit breaker** (:class:`CircuitBreaker`): consecutive *crash-class*
-execution failures mean the worker pool cannot currently hold a worker —
-a poison query, a storming host, an OOM-killer rampage.  Continuing to
-dispatch just burns a respawn per request.  The breaker opens after
-``threshold`` consecutive failures; while open, the service answers from
-the result cache when it can and otherwise rejects fast with a
-``degraded`` error carrying a ``retry_after_s`` hint.  After ``cooldown``
-seconds one probe request is let through (half-open); success closes the
-breaker, failure re-opens it for another cooldown.
-
-**Mutation dedup** (:class:`MutationDedup`): a client retrying an
-``add_graph`` after a lost response must not insert the graph twice.
-Mutations carrying a client-generated ``request_key`` are remembered in a
-bounded LRU window; a retry whose key is still in the window is answered
-with the recorded response instead of re-applying the mutation.
+The service's ``degraded`` mode has no state of its own here: it asks
+the engine's pool :class:`~repro.exec.worker.Health` (see
+:mod:`repro.service.server`).
 """
 
 from __future__ import annotations
 
 import collections
 import threading
-import time
 
-__all__ = ["CircuitBreaker", "MutationDedup"]
-
-
-class CircuitBreaker:
-    """Classic closed → open → half-open breaker over execution failures.
-
-    Thread-safe: the scheduler records outcomes while connection threads
-    snapshot state for ``stats``.  A ``threshold`` of 0 disables the
-    breaker entirely (:meth:`allow` always grants).
-    """
-
-    def __init__(self, threshold: int = 5, cooldown: float = 1.0) -> None:
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        if cooldown <= 0:
-            raise ValueError("cooldown must be positive")
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._consecutive = 0
-        self._opened_at = 0.0
-        #: True while the single half-open probe is in flight.
-        self._probing = False
-        self.transitions: collections.Counter[str] = collections.Counter()
-
-    def _transition(self, new_state: str) -> None:
-        if new_state != self._state:
-            self.transitions[f"{self._state}->{new_state}"] += 1
-            self._state = new_state
-
-    def allow(self) -> bool:
-        """Whether a dispatch may proceed right now.
-
-        While open, flips to half-open once the cooldown has elapsed and
-        grants exactly one probe; further calls are refused until the
-        probe reports back through :meth:`record_success` /
-        :meth:`record_failure`.
-        """
-        if not self.threshold:
-            return True
-        with self._lock:
-            if self._state == "closed":
-                return True
-            now = time.monotonic()
-            if self._state == "open":
-                if now - self._opened_at < self.cooldown:
-                    return False
-                self._transition("half_open")
-                self._probing = True
-                return True
-            # half_open: one probe at a time.
-            if self._probing:
-                return False
-            self._probing = True
-            return True
-
-    def record_success(self) -> None:
-        if not self.threshold:
-            return
-        with self._lock:
-            self._consecutive = 0
-            self._probing = False
-            if self._state != "closed":
-                self._transition("closed")
-
-    def record_failure(self) -> None:
-        if not self.threshold:
-            return
-        with self._lock:
-            self._consecutive += 1
-            self._probing = False
-            if self._state == "half_open" or (
-                self._state == "closed" and self._consecutive >= self.threshold
-            ):
-                self._transition("open")
-                self._opened_at = time.monotonic()
-
-    def retry_after(self) -> float:
-        """Seconds until the next probe could be admitted (0 when closed)."""
-        with self._lock:
-            if self._state != "open":
-                return 0.0
-            return max(0.0, self.cooldown - (time.monotonic() - self._opened_at))
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "enabled": bool(self.threshold),
-                "state": self._state,
-                "threshold": self.threshold,
-                "cooldown_s": self.cooldown,
-                "consecutive_failures": self._consecutive,
-                "transitions": dict(self.transitions),
-            }
+__all__ = ["MutationDedup"]
 
 
 class MutationDedup:

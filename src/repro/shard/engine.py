@@ -54,13 +54,14 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.engine import SubgraphQueryEngine
+from repro.exec.worker import Health
 from repro.graph.database import GraphDatabase
-from repro.service.resilience import CircuitBreaker
 from repro.shard.host import ShardProcessHost
 from repro.shard.partition import Partitioner, create_partitioner
 from repro.shard.router import ShardRouter
@@ -101,7 +102,9 @@ class _Shard:
 
     index: int
     engine: SubgraphQueryEngine
-    breaker: CircuitBreaker
+    #: The shard's one failure throttle: the router's "down", and the
+    #: process host's respawn gate.
+    health: Health
     histogram: LatencyHistogram
     store_dir: Path | None = None
     #: Process host only: the worker's journal state, mirrored from its
@@ -161,6 +164,10 @@ class ShardedExecutor:
     (the ``stats`` verb names its type; drains close it) works over the
     fleet unchanged.
     """
+
+    #: No pool of its own: a sharded engine skips its down shards fast
+    #: instead of answering ``degraded``.
+    health = None
 
     def __init__(self, shards: list[_Shard]) -> None:
         self._shards = shards
@@ -229,8 +236,7 @@ class ShardedEngine:
         plan_cache: int = 256,
         partitioner: "str | Partitioner" = "hash",
         store_root: "str | Path | None" = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 1.0,
+        health: "Callable[[], Health]" = partial(Health, threshold=3),
         shard_host: str = "thread",
     ) -> None:
         if num_shards < 1:
@@ -254,8 +260,7 @@ class ShardedEngine:
         self._executor_factory = executor_factory
         self._cache_capacity = cache
         self._plan_cache_capacity = plan_cache
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
+        self._health = health
         self._store_root = Path(store_root) if store_root is not None else None
         self.seed_shards = self._load_or_create_manifest(num_shards)
         # The base database is always partitioned by ``seed_shards`` —
@@ -348,10 +353,7 @@ class ShardedEngine:
         return _Shard(
             index=index,
             engine=engine,
-            breaker=CircuitBreaker(
-                threshold=self._breaker_threshold,
-                cooldown=self._breaker_cooldown,
-            ),
+            health=self._health(),
             histogram=LatencyHistogram(),
             store_dir=self._shard_dir(index),
         )
@@ -385,6 +387,7 @@ class ShardedEngine:
             db_supplier=supplier,
             store_dir=shard.store_dir,
             on_ready=lambda info: self._adopt_ready(shard, info),
+            health=shard.health,
         )
 
     def _adopt_ready(self, shard: _Shard, info: dict) -> None:
@@ -851,7 +854,7 @@ class ShardedEngine:
                 "algorithm": shard.engine.name,
                 "degraded": shard.engine.degraded,
                 "index_source": shard.engine.index_source,
-                "breaker": shard.breaker.snapshot(),
+                "breaker": shard.health.snapshot(),
                 "latency": shard.histogram.summary(),
                 "store": (
                     str(shard.store_dir) if shard.store_dir is not None

@@ -7,7 +7,7 @@ shard into its own persistent worker process, built on the same
 :class:`~repro.exec.worker.WorkerProcess` primitive as the query pool in
 ``repro.exec`` (a killable child on a duplex pipe, ack-before-work
 dispatch, drain-after-death receive, a hard deadline on limited work,
-respawn behind a :class:`~repro.exec.worker.RestartBackoff`) but at
+respawn behind a :class:`~repro.exec.worker.Health`) but at
 *shard* granularity: the child owns the whole shard —
 its pipeline, its index, its ``IndexStore`` subdirectory, and its
 write-ahead mutation log — and the parent keeps only a lightweight
@@ -37,8 +37,11 @@ router flags the merged results partial, exactly like a downed thread
 shard — and the next dispatch respawns the worker from its frozen base
 partition (store mode: WAL recovery replays every acknowledged mutation,
 so the respawned shard answers bit-identically) or from the parent's
-current mirror (storeless mode).  Consecutive failures back off
-exponentially.
+current mirror (storeless mode).  The shard's
+:class:`~repro.exec.worker.Health` — the same object the router asks
+whether the shard is down — counts every worker lost and every reply,
+and its backoff gates the respawn: an exchange refused while it backs
+off raises :class:`ShardWorkerError` without counting another failure.
 
 Hang semantics: a *query* exchange that carries a ``time_limit`` waits
 for its reply at most :func:`~repro.exec.worker.hard_deadline` of the
@@ -69,7 +72,7 @@ from repro.exec import faults
 from repro.exec.worker import (
     DEAD,
     TIMEOUT,
-    RestartBackoff,
+    Health,
     WorkerProcess,
     hard_deadline,
     preferred_context,
@@ -201,7 +204,7 @@ class _Worker:
 
     __slots__ = (
         "index", "process", "lock", "store_dir", "db_supplier", "on_ready",
-        "spawns", "restarts", "backoff",
+        "spawns", "restarts", "health",
     )
 
     def __init__(
@@ -210,7 +213,7 @@ class _Worker:
         store_dir,
         db_supplier: "Callable[[], GraphDatabase]",
         on_ready: "Callable[[dict], None] | None",
-        backoff: RestartBackoff,
+        health: Health,
     ) -> None:
         self.index = index
         self.process: WorkerProcess | None = None
@@ -223,8 +226,9 @@ class _Worker:
         self.on_ready = on_ready
         self.spawns = 0
         self.restarts = 0
-        #: Consecutive spawn/exchange failures hold the next respawn back.
-        self.backoff = backoff
+        #: The shard's Health: every worker lost is a failure, every
+        #: reply a success, and its backoff holds the next respawn back.
+        self.health = health
 
 
 class ShardProcessHost:
@@ -237,8 +241,8 @@ class ShardProcessHost:
     ``on_ready`` callback that reconciles the parent mirror from the
     child's recovered state.  Every exchange is crash-contained: a dead
     worker raises :class:`ShardWorkerError` (the router degrades that
-    shard, nothing else), and the next exchange respawns it, subject to
-    exponential backoff after consecutive failures.
+    shard, nothing else), and the next exchange respawns it once the
+    shard's :class:`~repro.exec.worker.Health` backoff has run out.
     """
 
     def __init__(
@@ -249,16 +253,12 @@ class ShardProcessHost:
         cache: int = 0,
         ready_timeout: float = 300.0,
         ack_timeout: float = 30.0,
-        respawn_backoff: float = 0.1,
-        respawn_backoff_max: float = 5.0,
     ) -> None:
         self._pipeline_factory = pipeline_factory
         self._plan_cache = plan_cache
         self._cache = cache
         self._ready_timeout = ready_timeout
         self._ack_timeout = ack_timeout
-        self._respawn_backoff = respawn_backoff
-        self._respawn_backoff_max = respawn_backoff_max
         self._ctx = preferred_context()
         self._workers: dict[int, _Worker] = {}
 
@@ -273,6 +273,7 @@ class ShardProcessHost:
         db_supplier: "Callable[[], GraphDatabase]",
         store_dir=None,
         on_ready: "Callable[[dict], None] | None" = None,
+        health: Health,
     ) -> dict:
         """Adopt shard ``index`` and spawn its worker; returns ready info.
 
@@ -280,10 +281,7 @@ class ShardProcessHost:
         built, and a shard that cannot start is a configuration problem
         the caller must see.
         """
-        worker = _Worker(
-            index, store_dir, db_supplier, on_ready,
-            RestartBackoff(self._respawn_backoff, self._respawn_backoff_max),
-        )
+        worker = _Worker(index, store_dir, db_supplier, on_ready, health)
         self._workers[index] = worker
         return self._spawn(worker)
 
@@ -324,7 +322,6 @@ class ShardProcessHost:
         msg = process.recv(self._ready_timeout)
         if msg is DEAD or msg is TIMEOUT or msg[0] != "ready":
             raise self._lost(worker, "failed to start")
-        worker.backoff.success()
         info = msg[1]
         if worker.on_ready is not None:
             worker.on_ready(info)
@@ -332,22 +329,23 @@ class ShardProcessHost:
 
     def _lost(self, worker: _Worker, what: str) -> ShardWorkerError:
         """Reap a failed worker (killing it if it is somehow still alive)
-        and start its backoff; returns the error for the caller to raise."""
+        and count the failure; returns the error for the caller to raise."""
         worker.process.scrap(kill=True)
-        worker.backoff.failure()
+        worker.health.failure()
         return ShardWorkerError(
             f"shard {worker.index} worker {what} "
             f"(exit code {worker.process.exitcode})"
         )
 
     def _ensure(self, worker: _Worker) -> WorkerProcess:
-        """A live worker, respawning if needed; raises on backoff/failure."""
+        """A live worker, respawning if needed; raises on backoff (a
+        refusal, not another failure) or on a failed respawn."""
         if not worker.process.alive:
             worker.process.scrap()
-            if not worker.backoff.ready():
+            if not worker.health.ready():
                 raise ShardWorkerError(
                     f"shard {worker.index} worker in respawn backoff "
-                    f"(consecutive failures: {worker.backoff.failures})"
+                    f"(consecutive failures: {worker.health.failures})"
                 )
             worker.restarts += 1
             self._spawn(worker)  # raises ShardWorkerError on startup failure
@@ -384,7 +382,7 @@ class ShardProcessHost:
                     worker, f"hung past its hard deadline ({reply_timeout:.2f}s)"
                 )
             kind, payload = reply
-            worker.backoff.success()
+            worker.health.success()
             if kind == "error":
                 raise payload
             return payload

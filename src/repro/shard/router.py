@@ -17,13 +17,16 @@ state), then merges the per-shard answers deterministically:
   rows plus the missing-shard list, so a caller can audit exactly which
   partition every answer came from.
 
-Failure semantics follow the service's resilience model: each shard has
-its own :class:`~repro.service.resilience.CircuitBreaker` fed by
-crash-class failures only, and a shard that is down (breaker open,
-raised mid-batch, or returned only crash/error results) makes the merged
-result **partial** — flagged ``degraded`` with the missing shard list,
-never silently wrong.  Only when *every* shard fails does the merged
-result carry a failure.
+Failure semantics: each shard has one :class:`~repro.exec.worker.Health`
+(``_Shard.health``).  A batch the shard raised on is one failure, a batch
+it answered one success; under the process host the host has already
+told the Health about its worker (a :class:`~repro.shard.host.
+ShardWorkerError`), so the router counts nothing more for it.  A shard
+that is down — its Health open, refusing while it backs off, raised
+mid-batch, or answered with failures — makes the merged result
+**partial**: flagged ``degraded`` with the missing shard list, never
+silently wrong.  A refusal is not counted as another failure.  Only when
+*every* shard fails does the merged result carry a failure.
 
 The ``shard.query`` fault site fires per shard per batch (tag
 ``shard-<i>``), so tests and the CI smoke can deterministically take one
@@ -66,6 +69,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.metrics import QueryFailure, QueryResult
 from repro.exec import faults
+from repro.shard.host import ShardWorkerError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.graph.labeled_graph import Graph
@@ -135,21 +139,15 @@ class ShardRouter:
                         sub, time_limit=time_limit
                     )
             except Exception as exc:  # the shard, not the query, failed
-                shard.breaker.record_failure()
+                if not isinstance(exc, ShardWorkerError):
+                    # (The host has already counted, or refused, its own.)
+                    shard.health.failure()
                 outcomes[shard.index] = (
                     "down", f"{type(exc).__name__}: {exc}"
                 )
                 return
             shard.histogram.record(time.perf_counter() - started)
-            crashes = sum(
-                1 for r in results
-                if r.failure is not None and r.failure.kind == "crash"
-            )
-            if crashes:
-                for _ in range(crashes):
-                    shard.breaker.record_failure()
-            else:
-                shard.breaker.record_success()
+            shard.health.success()
             outcomes[shard.index] = (
                 "ok", dict(zip(positions, results))
             )
@@ -162,13 +160,13 @@ class ShardRouter:
                 # Every query in the batch was ruled out: the shard's
                 # contribution is provably empty, no dispatch needed.
                 outcomes[shard.index] = ("ok", {})
-            elif not shard.breaker.allow():
+            elif not shard.health.allow():
                 outcomes[shard.index] = ("down", "breaker_open")
             else:
                 work.append((shard, positions))
         # The last surviving shard runs on the calling thread, which would
         # otherwise only sleep in ``join``: N - 1 threads per batch, none
-        # when pruning and the breakers leave a single shard.
+        # when pruning and the open shards leave a single one.
         threads = [
             threading.Thread(
                 target=fan, args=job, name=f"repro-shard-{job[0].index}"

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import nx_contains
 from repro.core import create_engine
-from repro.exec import faults
+from repro.exec import Health, faults
 from repro.exec.parallel import SubprocessExecutor
 from repro.graph import Graph
 
@@ -125,7 +125,7 @@ class TestCrashContainment:
         query = named_square("q0")
         with create_engine(
             small_db, "CFQL",
-            executor=SubprocessExecutor(retry_backoff=0.01),
+            executor=SubprocessExecutor(health=Health(base=0.01)),
         ) as engine:
             engine.build_index()
             result = engine.query(query, time_limit=30.0)
@@ -136,7 +136,9 @@ class TestCrashContainment:
         faults.inject("worker:start", "crash")
         with create_engine(
             small_db, "CFQL",
-            executor=SubprocessExecutor(max_retries=2, retry_backoff=0.01),
+            executor=SubprocessExecutor(
+                max_retries=2, health=Health(base=0.01)
+            ),
         ) as engine:
             engine.build_index()
             result = engine.query(named_square("q0"), time_limit=30.0)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import create_engine, create_pipeline
-from repro.exec import create_executor, faults
+from repro.exec import Health, create_executor, faults
 from repro.exec.worker import hard_deadline
 from repro.graph import GraphDatabase, generate_database, random_walk_query
 from repro.graph.labeled_graph import Graph
@@ -137,7 +137,7 @@ def test_repeated_crashes_open_breaker(workload):
     db, queries = workload
     with ShardedEngine(
         db, 2, lambda: create_pipeline(ALGORITHM),
-        breaker_threshold=2, breaker_cooldown=60.0,
+        health=lambda: Health(threshold=2, cooldown=60.0),
     ) as engine:
         engine.build_index()
         faults.inject("shard.query", "error", match="shard-1")
@@ -148,7 +148,7 @@ def test_repeated_crashes_open_breaker(workload):
             faults.clear()
         # Two consecutive shard failures tripped the breaker; with the
         # fault cleared the shard is still skipped until the cooldown.
-        assert engine._shards[1].breaker.snapshot()["state"] == "open"
+        assert engine._shards[1].health.snapshot()["state"] == "open"
         result = engine.query(queries[0])
         assert result.metadata["partial"]
         row = result.metadata["shards"]["per_shard"][1]
@@ -231,6 +231,34 @@ def test_process_host_crash_respawns_bit_identical(
                 assert sorted(result.answers) == answers
                 assert sorted(result.candidates) == candidates
             assert engine.shard_stats()[1]["host"]["restarts"] >= 1
+    finally:
+        faults.clear()
+
+
+def test_process_host_backoff_refusals_are_not_failures(workload, tmp_path):
+    """One shard-process death is one failure of that shard's Health.
+
+    Queries that arrive while the respawn backs off find the shard down
+    (flagged partial) but are not counted as more failures, so they
+    cannot open the shard: once the backoff has run out, the next query
+    respawns the worker and gets the full answer.
+    """
+    db, queries = workload
+    faults.inject(
+        "shard.worker.query", "crash", match="shard-1",
+        latch=str(tmp_path / "crash.latch"),
+    )
+    try:
+        with process_sharded(db, 2) as engine:
+            engine.build_index()
+            for _ in range(3):  # the death, then two refusals
+                assert engine.query(queries[0]).metadata["partial"]
+            time.sleep(0.3)  # past the respawn backoff
+            row = engine.shard_stats()[1]
+            assert row["breaker"]["consecutive_failures"] == 1
+            assert row["breaker"]["state"] == "closed"
+            healed = engine.query(queries[0])
+            assert not healed.metadata.get("partial")
     finally:
         faults.clear()
 
