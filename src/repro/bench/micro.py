@@ -94,125 +94,6 @@ def _bitset_kernels(db, queries, repeats: int) -> dict:
     }
 
 
-def _bitset_backend_bench(repeats: int, quick: bool) -> dict:
-    """Python big-int vs numpy word-block backend on the batch hot paths.
-
-    One small (paper-scale, where ``auto`` must keep python) and one large
-    graph (where the word-block backend earns its keep): batch frontier
-    AND+popcount over a block of adjacency rows, and full enumeration over
-    identical candidate sets in each backend (word-block sets convert to
-    int bitmaps at the enumeration boundary).  Embedding-count parity is
-    asserted for every timed comparison — a speedup with wrong answers is
-    not a speedup.
-    """
-    import random
-
-    from repro.graph.generators import generate_graph, random_walk_query
-    from repro.matching.enumeration import enumerate_embeddings_iterative
-    from repro.utils.bitset import (
-        AUTO_MIN_VERTICES,
-        backend_override,
-        get_kernel,
-        numpy_available,
-        python_kernel,
-    )
-
-    sizes = (60, 1024) if quick else (60, 2048)
-    frontier = 256
-    limit = 20_000 if quick else 50_000
-    out: dict = {
-        "numpy_available": numpy_available(),
-        "auto_min_vertices": AUTO_MIN_VERTICES,
-        "frontier_rows": frontier,
-        "graphs": {},
-    }
-    for n in sizes:
-        graph = generate_graph(
-            num_vertices=n, avg_degree=8.0, num_labels=4 if n < 256 else 12, seed=29
-        )
-        from repro.matching.candidates import select_kernel
-
-        with backend_override("auto"):
-            auto_name = select_kernel(graph).name
-        entry: dict = {"num_vertices": n, "auto_backend": auto_name}
-
-        # Batch frontier intersection: AND one mask into a block of
-        # adjacency rows and popcount every row.
-        rng = random.Random(31)
-        ids = [rng.randrange(n) for _ in range(frontier)]
-        mask_vertices = rng.sample(range(n), n // 2)
-        pk = python_kernel()
-        py_rows = [graph.neighbor_bitmap(v) for v in ids]
-        py_mask = pk.pack(mask_vertices, n)
-
-        def py_frontier(rows=py_rows, mask=py_mask):
-            total = 0
-            for bits in rows:
-                total += (bits & mask).bit_count()
-            return total
-
-        entry["python"] = {"frontier_and_popcount": _time_repeated(py_frontier, repeats)}
-        if numpy_available():
-            import numpy as np
-
-            nk = get_kernel("numpy")
-            profile = graph.bitset_profile(nk)
-            adjacency = profile.adjacency()
-            idx = np.array(ids, dtype=np.int64)
-            np_mask = nk.pack(mask_vertices, n)
-
-            def np_frontier(adj=adjacency, i=idx, mask=np_mask, k=nk):
-                return int(k.popcount_rows(adj[i] & mask).sum())
-
-            assert np_frontier() == py_frontier(), "frontier parity"
-            entry["numpy"] = {
-                "frontier_and_popcount": _time_repeated(np_frontier, repeats)
-            }
-            py_med = entry["python"]["frontier_and_popcount"]["median_s"]
-            np_med = entry["numpy"]["frontier_and_popcount"]["median_s"]
-            entry["frontier_speedup_numpy_vs_python"] = (
-                py_med / np_med if np_med > 0 else None
-            )
-
-        # Full enumeration from identical candidate sets in each backend.
-        query = random_walk_query(graph, num_edges=5, seed=37)
-        if query is not None:
-            matcher = CFQLMatcher()
-            with backend_override("python"):
-                candidates = matcher.build_candidates(query, graph)
-            if candidates is not None and candidates.all_nonempty:
-                order = tuple(matcher.matching_order(query, graph, candidates))
-
-                def py_enum(c=candidates, o=order):
-                    return enumerate_embeddings_iterative(
-                        query, graph, c, o, limit=limit
-                    ).num_embeddings
-
-                py_count = py_enum()
-                entry["enumeration_embeddings"] = py_count
-                entry["python"]["enumeration"] = _time_repeated(py_enum, repeats)
-                if numpy_available():
-                    np_candidates = candidates.to_backend(
-                        get_kernel("numpy"), num_vertices=n
-                    )
-
-                    def np_enum(c=np_candidates, o=order):
-                        return enumerate_embeddings_iterative(
-                            query, graph, c, o, limit=limit
-                        ).num_embeddings
-
-                    # Converts to int bitmaps up front.
-                    entry["parity_ok"] = np_enum() == py_count
-                    entry["numpy"]["enumeration"] = _time_repeated(np_enum, repeats)
-                    py_med = entry["python"]["enumeration"]["median_s"]
-                    np_med = entry["numpy"]["enumeration"]["median_s"]
-                    entry["enumeration_speedup_numpy_vs_python"] = (
-                        py_med / np_med if np_med > 0 else None
-                    )
-        out["graphs"][str(n)] = entry
-    return out
-
-
 def _candidate_generation(db, queries, repeats: int) -> dict:
     """Filter-phase latency per matcher (build_candidates only)."""
     graphs = db.graphs()
@@ -481,7 +362,6 @@ def run_microbench(jobs: int = 4, quick: bool = False) -> dict:
             "kernel_db": f"{len(db)} graphs x ~{db.stats().avg_vertices:.0f} vertices",
         },
         "bitset_kernels": _bitset_kernels(db, queries, repeats),
-        "bitset_backend": _bitset_backend_bench(repeats, quick),
         "candidate_generation": _candidate_generation(db, queries, repeats),
         "enumeration": _enumeration_kernels(db, queries, repeats),
         "plan_cache": _plan_cache_bench(queries, repeats),

@@ -64,7 +64,6 @@ from repro.bench.harness import BenchConfig
 from repro.core import ALGORITHM_NAMES
 from repro.graph.generators import generate_database
 from repro.graph.io import read_graph_database, write_graph_database
-from repro.utils.bitset import BACKEND_NAMES, set_default_backend
 from repro.utils.errors import ReproError
 from repro.workloads.datasets import REAL_WORLD_SPECS, make_dataset
 
@@ -168,25 +167,6 @@ def _check_sharded_store(index_store: str, shards: int) -> None:
             f"store {index_store} is sharded {count} ways; "
             f"pass --shards {count}"
         )
-
-
-def _add_bitset_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """`--bitset-backend` for every command with a matching hot path."""
-    parser.add_argument(
-        "--bitset-backend", choices=BACKEND_NAMES, default="",
-        help="candidate-bitmap backend: python big ints, numpy uint64 "
-        "word blocks ([perf] extra), or auto — numpy only for large data "
-        "graphs (default: REPRO_BITSET_BACKEND, else auto)",
-    )
-
-
-def _apply_bitset_backend(args: argparse.Namespace) -> None:
-    """Make the flag the process-wide default *and* export it so pool
-    workers (spawned subprocesses) resolve the same backend."""
-    name = getattr(args, "bitset_backend", "")
-    if name:
-        os.environ["REPRO_BITSET_BACKEND"] = name
-        set_default_backend(name)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -930,7 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         "its time or memory budget instead of failing",
     )
     _add_shards_flag(query)
-    _add_bitset_backend_flag(query)
     query.set_defaults(func=_cmd_query)
 
     reproduce = sub.add_parser("reproduce", help="regenerate paper artifacts")
@@ -967,7 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="degrade engines whose index build fails to their vcFV fallback",
     )
     _add_shards_flag(reproduce)
-    _add_bitset_backend_flag(reproduce)
     reproduce.set_defaults(func=_cmd_reproduce)
 
     index = sub.add_parser("index", help="manage the persistent index store")
@@ -1024,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the run with cProfile, dump stats to PATH and print "
         "the top cumulative entries",
     )
-    _add_bitset_backend_flag(micro)
     micro.set_defaults(func=_cmd_bench_micro)
 
     serve = sub.add_parser(
@@ -1102,7 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
         "its budget instead of failing startup",
     )
     _add_shards_flag(serve)
-    _add_bitset_backend_flag(serve)
     serve.set_defaults(func=_cmd_serve)
 
     bench_serve = sub.add_parser(
@@ -1194,7 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_bitset_backend(args)
     # `serve` installs its own handlers (graceful drain) inside
     # QueryService.serve; everything else gets the flush-and-exit pair.
     installed = [] if args.command == "serve" else _install_signal_handlers()

@@ -49,7 +49,6 @@ class Graph:
         "_nbr_bitmaps",
         "_degree_bitmaps",
         "_nlf_bitmaps",
-        "_np_profile",
     )
 
     def __init__(
@@ -83,8 +82,6 @@ class Graph:
         self._nbr_bitmaps: list[int] | None = None
         self._degree_bitmaps: dict[int, int] = {}
         self._nlf_bitmaps: dict[tuple[int, int], int] = {}
-        # Word-block profile for the numpy bitset backend (lazy).
-        self._np_profile = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -238,7 +235,7 @@ class Graph:
         return self._edge_label_counts
 
     # ------------------------------------------------------------------
-    # Bitmap profiles (lazy; the bitset-kernel views of the graph)
+    # Bitmap profiles (lazy; the int-bitmap views of the graph)
     # ------------------------------------------------------------------
 
     def label_bitmap(self, label: int) -> int:
@@ -301,39 +298,6 @@ class Graph:
             self._nlf_bitmaps[key] = cached
         return cached
 
-    def bitset_profile(self, kernel):
-        """The word-block profile for a numpy bitset kernel (memoized).
-
-        Returns ``None`` for the python backend, whose profiles are the
-        int-bitmap memos above.  There is exactly one numpy kernel per
-        process, so a single cached profile suffices.
-        """
-        if kernel is None or kernel.name != "numpy":
-            return None
-        if self._np_profile is None:
-            from repro.graph.bitmap_profile import NumpyGraphProfile
-
-            self._np_profile = NumpyGraphProfile(self)
-        return self._np_profile
-
-    # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Drop the numpy profile: it is a per-process cache of ndarray
-        views, cheap to rebuild and potentially unimportable (the
-        ``[perf]`` extra) on the receiving side of a pool boundary."""
-        state = {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_np_profile"
-        }
-        state["_np_profile"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     # ------------------------------------------------------------------
     # Memory accounting
     # ------------------------------------------------------------------
@@ -352,10 +316,6 @@ class Graph:
             total += sum(bitmap_bytes(b) for b in self._nbr_bitmaps)
         total += sum(bitmap_bytes(b) for b in self._degree_bitmaps.values())
         total += sum(bitmap_bytes(b) for b in self._nlf_bitmaps.values())
-        if self._np_profile is not None:
-            # Word-block profile: fixed ceil(n/64)-word rows, counted at
-            # their true (backend-accurate) footprint.
-            total += self._np_profile.memory_bytes()
         return total
 
     def csr_memory_bytes(self, word_bytes: int = 4) -> int:

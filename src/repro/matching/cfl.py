@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import PreprocessingMatcher
-from repro.matching.candidates import CandidateSets, select_kernel
+from repro.matching.candidates import CandidateSets
 from repro.matching.ordering import path_based_order
 from repro.matching.plan import QueryPlan, compile_plan
 from repro.utils.timing import Deadline
@@ -107,11 +107,7 @@ class CFLMatcher(PreprocessingMatcher):
                 phi[u] = pool
                 union[u] = -1
 
-        # The refinement above is int-bitmap native; the selected backend
-        # takes over at the boundary (one cheap conversion per query).
-        return CandidateSets.from_bitmaps(
-            phi, kernel=select_kernel(data), num_vertices=data.num_vertices
-        )
+        return CandidateSets.from_bitmaps(phi)
 
     @staticmethod
     def _seed_bits(plan: QueryPlan, data: Graph) -> list[int]:

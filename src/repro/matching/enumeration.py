@@ -136,13 +136,6 @@ def enumerate_embeddings(
     compiled = (
         plan.compiled_order(order) if plan is not None else compile_order(query, order)
     )
-    if candidates.backend != "python":
-        # Convert once and enumerate over int bitmaps.  The tree walk is
-        # per-node python-driven, so big-int ops (sub-µs even at 512 words)
-        # beat per-call numpy overhead at every scale measured (4-12x at
-        # 1k-32k vertices); the word-block backend earns its keep in the
-        # batch phases (seed filters, frontier intersections), not here.
-        candidates = candidates.to_python()
     ordv = compiled.order
     prefixes = compiled.prefix_positions
     extends = compiled.extends_previous
@@ -304,10 +297,6 @@ def enumerate_embeddings_recursive(
     re-validates the order itself.
     """
     del plan  # the reference deliberately takes the slow, obvious path
-    if candidates.backend != "python":
-        # The reference works in int bitmaps; converting up front keeps it
-        # a pure oracle for the cross-backend parity suite.
-        candidates = candidates.to_python()
     order = tuple(order)
     result = EnumerationResult()
     if not order:

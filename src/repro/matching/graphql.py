@@ -25,11 +25,7 @@ from __future__ import annotations
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import PreprocessingMatcher
 from repro.matching.bipartite import has_semi_perfect_matching_bits
-from repro.matching.candidates import (
-    CandidateSets,
-    nlf_candidate_bits,
-    select_kernel,
-)
+from repro.matching.candidates import CandidateSets, nlf_candidate_bits
 from repro.matching.ordering import join_based_order
 from repro.matching.plan import QueryPlan, compile_plan
 from repro.utils.timing import Deadline
@@ -92,11 +88,7 @@ class GraphQLMatcher(PreprocessingMatcher):
                     phi[u] = kept
             if not changed:
                 break
-        # Refinement is int-bitmap native; hand the selected backend the
-        # finished sets at the boundary (one cheap conversion per query).
-        return CandidateSets.from_bitmaps(
-            phi, kernel=select_kernel(data), num_vertices=data.num_vertices
-        )
+        return CandidateSets.from_bitmaps(phi)
 
     @staticmethod
     def _pseudo_iso(

@@ -223,8 +223,7 @@ class QueryPlan:
         canonical_positions: tuple[int, ...] | None = None,
     ) -> None:
         self.query = query
-        # Filter-phase constants as flat typed arrays: backend-agnostic
-        # (both bitset kernels index them the same way) and they pickle as
+        # Filter-phase constants as flat typed arrays: they pickle as
         # raw machine words — a compact wire form for the executor-pool
         # boundary, unlike tuples of per-vertex tuples.
         self.labels = array("q", query.labels)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import MatchOutcome, SubgraphMatcher
-from repro.matching.candidates import CandidateSets, ldf_candidates, select_kernel
+from repro.matching.candidates import CandidateSets, ldf_candidate_bits
 from repro.matching.enumeration import enumerate_embeddings
 from repro.matching.plan import QueryPlan
 from repro.utils.timing import Deadline, Timer
@@ -106,11 +106,7 @@ class QuickSIMatcher(SubgraphMatcher):
         outcome.order_time = t_order.elapsed
         # Direct enumeration: only the cheap per-vertex LDF seed, no
         # preprocessing structure (hence not counted as filter time).
-        candidates = CandidateSets(
-            ldf_candidates(query, data),
-            kernel=select_kernel(data),
-            num_vertices=data.num_vertices,
-        )
+        candidates = CandidateSets.from_bitmaps(ldf_candidate_bits(query, data))
         if not candidates.all_nonempty:
             return outcome
         with Timer() as t_enum:

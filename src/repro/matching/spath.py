@@ -20,7 +20,7 @@ from collections import deque
 
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import MatchOutcome, SubgraphMatcher
-from repro.matching.candidates import CandidateSets, select_kernel
+from repro.matching.candidates import CandidateSets
 from repro.matching.enumeration import enumerate_embeddings
 from repro.matching.plan import QueryPlan
 from repro.utils.timing import Deadline, Timer
@@ -114,9 +114,7 @@ class SPathMatcher(SubgraphMatcher):
                     and _signature_dominates(data_signatures[v], query_sig)
                 ]
             )
-        return CandidateSets(
-            sets, kernel=select_kernel(data), num_vertices=data.num_vertices
-        )
+        return CandidateSets(sets)
 
     def run(
         self,

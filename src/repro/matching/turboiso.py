@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.graph.algorithms import BFSTree, bfs_tree, two_core
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import MatchOutcome, PreprocessingMatcher
-from repro.matching.candidates import CandidateSets, select_kernel
+from repro.matching.candidates import CandidateSets
 from repro.matching.enumeration import enumerate_embeddings
 from repro.matching.ordering import path_based_order
 from repro.matching.plan import QueryPlan
@@ -143,9 +143,7 @@ class TurboIsoMatcher(PreprocessingMatcher):
             for u, bits in enumerate(region):
                 union[u] |= bits
         self._last_exploration = (query, tree, regions)
-        return CandidateSets.from_bitmaps(
-            union, kernel=select_kernel(data), num_vertices=data.num_vertices
-        )
+        return CandidateSets.from_bitmaps(union)
 
     def matching_order(
         self,
@@ -200,11 +198,7 @@ class TurboIsoMatcher(PreprocessingMatcher):
             for region in regions:
                 if limit is not None and outcome.num_embeddings >= limit:
                     break
-                phi = CandidateSets.from_bitmaps(
-                    region,
-                    kernel=select_kernel(data),
-                    num_vertices=data.num_vertices,
-                )
+                phi = CandidateSets.from_bitmaps(region)
                 order = path_based_order(query, tree, phi, core=core)
                 remaining = (
                     None if limit is None else limit - outcome.num_embeddings

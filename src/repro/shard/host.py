@@ -327,11 +327,18 @@ class ShardProcessHost:
             worker.on_ready(info)
         return info
 
-    def _lost(self, worker: _Worker, what: str) -> ShardWorkerError:
+    def _lost(
+        self, worker: _Worker, what: str, slow: bool = False
+    ) -> ShardWorkerError:
         """Reap a failed worker (killing it if it is somehow still alive)
-        and count the failure; returns the error for the caller to raise."""
+        and count the failure; returns the error for the caller to raise.
+        One killed because its request was ``slow`` (the hard deadline)
+        ran that request: its Health counts a success, not a failure."""
         worker.process.scrap(kill=True)
-        worker.health.failure()
+        if slow:
+            worker.health.success()
+        else:
+            worker.health.failure()
         return ShardWorkerError(
             f"shard {worker.index} worker {what} "
             f"(exit code {worker.process.exitcode})"
@@ -379,7 +386,9 @@ class ShardProcessHost:
                 raise self._lost(worker, "died mid-request")
             if reply is TIMEOUT:
                 raise self._lost(
-                    worker, f"hung past its hard deadline ({reply_timeout:.2f}s)"
+                    worker,
+                    f"hung past its hard deadline ({reply_timeout:.2f}s)",
+                    slow=True,
                 )
             kind, payload = reply
             worker.health.success()

@@ -5,11 +5,13 @@ equal what a fresh recomputation from ``neighbors()``/``label()``
 would give.  These are the invariant tests: every cached profile is
 cross-checked against a naive pass over the adjacency lists, and the
 lazy memory accounting is pinned down (zero before first use, counted in
-``index_memory_bytes`` after).
+``index_memory_bytes`` after).  Graphs and candidate sets cross the
+executor-pool boundary pickled, so both must round-trip unchanged.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -24,6 +26,10 @@ from repro.matching.candidates import (
     nlf_candidates,
 )
 from repro.utils.bitset import bit_list, iter_bits, pack_bits
+
+#: Bitmap widths straddling the word (64) and ``iter_bits``'s decode-chunk
+#: (256) boundaries.
+BOUNDARY_WIDTHS = (1, 63, 64, 65, 127, 128, 255, 256, 257, 1000)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +97,23 @@ class TestBitmapProfiles:
                 assert g.neighbor_label_counts(v) == fresh
                 assert g.neighbor_label_counts(v) == fresh
 
+    def test_pickle_roundtrip_keeps_graph_and_built_memos(self):
+        g = generate_graph(num_vertices=50, avg_degree=4.0, num_labels=2, seed=8)
+        g.label_bitmap(0)
+        g.neighbor_bitmap(0)
+        g.degree_bitmap(2)
+        g.nlf_bitmap(1, 2)
+        revived = pickle.loads(pickle.dumps(g))
+        assert revived.name == g.name
+        assert list(revived.labels) == list(g.labels)
+        assert list(revived.edges()) == list(g.edges())
+        # The memos travel with the graph instead of being rebuilt.
+        assert revived.profile_memory_bytes() == g.profile_memory_bytes() > 0
+        assert revived.label_bitmap(0) == g.label_bitmap(0)
+        assert revived.neighbor_bitmaps() == g.neighbor_bitmaps()
+        assert revived.degree_bitmap(2) == g.degree_bitmap(2)
+        assert revived.nlf_bitmap(1, 2) == g.nlf_bitmap(1, 2)
+
 
 class TestProfileMemoryAccounting:
     def test_zero_before_first_use(self):
@@ -129,6 +152,15 @@ class TestBitsetHelpers:
             assert list(iter_bits(bits)) == expected
             assert bits.bit_count() == len(expected)
 
+    @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
+    def test_boundary_widths_and_high_bits(self, n):
+        for vertices in ([], [0], [n - 1], [0, n - 1], list(range(n))):
+            bits = pack_bits(vertices)
+            expected = sorted(set(vertices))
+            assert bits.bit_count() == len(expected)
+            assert bit_list(bits) == expected
+            assert list(iter_bits(bits)) == expected
+
 
 class TestCandidateSetsRoundTrip:
     def test_from_bitmaps_roundtrip(self):
@@ -143,6 +175,15 @@ class TestCandidateSetsRoundTrip:
         assert cands.contains(0, 2) and not cands.contains(0, 3)
         assert not cands.all_nonempty
         assert len(cands) == 3
+
+    def test_pickle_roundtrip(self):
+        cands = CandidateSets([[3, 1, 2], [9], [], [0, 63, 64, 65]])
+        revived = pickle.loads(pickle.dumps(cands))
+        assert revived.bitmaps == cands.bitmaps
+        assert revived.sizes() == cands.sizes()
+        assert [revived[u] for u in range(len(cands))] == [
+            cands[u] for u in range(len(cands))
+        ]
 
     def test_set_construction_matches_bitmap_construction(self):
         from_sets = CandidateSets([{2, 0, 5}, {1}])

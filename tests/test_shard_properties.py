@@ -321,6 +321,35 @@ def test_process_host_hung_worker_is_killed_at_the_hard_deadline(
         faults.clear()
 
 
+def test_process_host_hard_deadline_kills_never_open_the_breaker(workload):
+    """A worker killed at its hard deadline ran its query: the shard is
+    slow, not broken.  However many such kills in a row, its Health stays
+    closed, so the shard is retried (and answers whole once the hang is
+    gone) instead of being skipped as ``breaker_open`` for a cooldown."""
+    db, queries = workload
+    faults.inject("shard.worker.query", "spin", arg=8.0, match="shard-1")
+    try:
+        with process_sharded(
+            db, 2, health=lambda: Health(threshold=2)
+        ) as engine:
+            engine.build_index()
+            health = engine._shards[1].health
+            for attempt in range(3):
+                result = engine.query(queries[0], time_limit=0.2)
+                assert result.metadata["partial"]
+                assert result.metadata["missing_shards"] == [1]
+                assert health.snapshot()["state"] == "closed"
+                row = engine._host.worker_row(1)
+                assert not row["alive"] and row["spawns"] == attempt + 1
+
+            faults.clear()  # the next respawn runs without the hang
+            whole = engine.query(queries[0], time_limit=30.0)
+            assert not whole.metadata.get("partial")
+            assert engine._host.worker_row(1)["spawns"] == 4
+    finally:
+        faults.clear()
+
+
 def test_process_host_parity_after_mutations(workload):
     """Mutations route through the workers; answers afterwards match an
     unsharded engine built over the same mutated database."""
