@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.core.algorithms import create_engine
 from repro.core.engine import SubgraphQueryEngine
 from repro.core.metrics import QuerySetReport, aggregate_results
-from repro.exec.base import QueryExecutor, create_executor
+from repro.exec.base import executor_factory
 from repro.exec.journal import RunJournal
 from repro.graph.database import GraphDatabase
 from repro.utils.errors import (
@@ -221,21 +221,6 @@ def get_synthetic_sweep(
 # ----------------------------------------------------------------------
 
 
-def _make_executor(config: BenchConfig) -> QueryExecutor:
-    """The containment policy an engine runs its queries under."""
-    if config.jobs > 1:
-        return create_executor(
-            "parallel",
-            jobs=config.jobs,
-            memory_limit_mb=config.memory_limit_mb or None,
-        )
-    if config.executor == "subprocess":
-        return create_executor(
-            "subprocess", memory_limit_mb=config.memory_limit_mb or None
-        )
-    return create_executor(config.executor)
-
-
 def build_engine(
     db: GraphDatabase,
     algorithm: str,
@@ -264,6 +249,9 @@ def build_engine(
         index_max_trie_nodes=config.index_feature_budget * 10,
         index_max_total_features=config.index_feature_budget * 10,
     )
+    make_executor = executor_factory(
+        config.executor, config.jobs, config.memory_limit_mb or None
+    )
     if config.shards > 1:
         if store is not None:
             raise ConfigurationError(
@@ -278,17 +266,13 @@ def build_engine(
             db,
             config.shards,
             lambda: create_pipeline(algorithm, **pipeline_overrides),
-            executor_factory=(
-                (lambda index: _make_executor(config))
-                if (config.jobs > 1 or config.executor == "subprocess")
-                else None
-            ),
+            executor_factory=make_executor,
         )
     else:
         engine = create_engine(
             db,
             algorithm,
-            executor=_make_executor(config),
+            executor=make_executor() if make_executor else None,
             **pipeline_overrides,
         )
     try:

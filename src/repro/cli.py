@@ -264,30 +264,9 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
     return status
 
 
-def _executor_factory(args: argparse.Namespace, health=None):
-    """The one flags -> executor ladder (``query``/``serve``, sharded or
-    not): a constructor taking an optional shard index, or ``None`` for
-    the engine's in-process default — the only choice the process shard
-    host accepts, which is why the sharded callers need the ``None``.
-    ``health`` (``serve`` only) makes each pool's ``Health``."""
-    from repro.exec import create_executor
-
-    if getattr(args, "supervised", False):
-        name = "supervised"
-    elif args.jobs > 1:
-        name = "parallel"
-    elif getattr(args, "executor", "") == "subprocess":
-        name = "subprocess"  # the same pool with one worker
-    else:
-        return None
-    return lambda shard=None: create_executor(
-        name, jobs=args.jobs, memory_limit_mb=args.memory_limit or None,
-        health=health() if health else None,
-    )
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.core import SubgraphQueryEngine, create_pipeline
+    from repro.exec import executor_factory
     from repro.utils.errors import ConfigurationError
 
     if args.connect:
@@ -305,6 +284,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     _check_sharded_store(args.index_store, args.shards)
     db = read_graph_database(args.database)
     queries = read_graph_database(args.queries)
+    make_executor = executor_factory(
+        args.executor, args.jobs, args.memory_limit or None
+    )
     if args.shards > 1:
         from repro.shard import ShardedEngine
 
@@ -312,7 +294,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             db,
             args.shards,
             lambda: create_pipeline(args.algorithm),
-            executor_factory=_executor_factory(args),
+            executor_factory=make_executor,
             cache=args.cache,
             store_root=args.index_store or None,
             shard_host=args.shard_host,
@@ -320,7 +302,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         store = None
     else:
         pipeline = create_pipeline(args.algorithm)
-        make_executor = _executor_factory(args)
         executor = make_executor() if make_executor else None
         store = None
         if args.index_store:
@@ -542,7 +523,7 @@ def _cmd_bench_micro(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core import SubgraphQueryEngine, create_pipeline
-    from repro.exec import Health
+    from repro.exec import Health, executor_factory
     from repro.service.server import QueryService, ServiceConfig
     from repro.utils.errors import ConfigurationError
 
@@ -564,6 +545,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "--breaker-threshold: --supervised needs a pool that opens (>= 1)"
         )
     db = read_graph_database(args.database)
+    make_executor = executor_factory(
+        "supervised" if args.supervised else "inprocess",
+        args.jobs, args.memory_limit or None,
+    )
     if args.shards > 1:
         from repro.shard import ShardedEngine
 
@@ -571,7 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             db,
             args.shards,
             lambda: create_pipeline(args.algorithm),
-            executor_factory=_executor_factory(args, health),
+            executor_factory=make_executor,
             cache=args.cache,
             store_root=args.index_store or None,
             health=health,
@@ -580,8 +565,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine.build_index(time_limit=args.index_limit, fallback=args.fallback)
     else:
         pipeline = create_pipeline(args.algorithm)
-        make_executor = _executor_factory(args, health)
-        executor = make_executor() if make_executor else None
+        executor = make_executor(health()) if make_executor else None
         store = None
         if args.index_store:
             from repro.store import IndexStore
@@ -887,7 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--executor", choices=("inprocess", "subprocess"), default="inprocess",
         help="query containment: cooperative (inprocess) or hard kill "
-        "timeouts and memory caps in a worker process (subprocess)",
+        "timeouts and memory caps in a worker pool (subprocess: one "
+        "worker unless --jobs says more)",
     )
     query.add_argument(
         "--jobs", "-j", type=_positive_int, default=1, metavar="N",
@@ -902,7 +887,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--memory-limit", type=int, default=0, metavar="MIB",
-        help="worker address-space cap in MiB (subprocess executor only)",
+        help="worker address-space cap in MiB (any worker pool: "
+        "--executor subprocess or --jobs > 1)",
     )
     query.add_argument(
         "--fallback", action="store_true",
@@ -928,8 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument(
         "--executor", choices=("inprocess", "subprocess"), default="",
-        help="override the benchmark executor (default: REPRO_BENCH_EXECUTOR "
-        "or inprocess)",
+        help="override the benchmark executor, subprocess being the worker "
+        "pool (default: REPRO_BENCH_EXECUTOR or inprocess)",
     )
     reproduce.add_argument(
         "--jobs", "-j", type=_positive_int, default=0, metavar="N",
@@ -1044,9 +1030,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--supervised", action="store_true",
-        help="run the worker pool under the supervised executor "
-        "(a pool whose health opens); implies crash isolation even "
-        "with --jobs 1",
+        help="run queries in a worker pool even with --jobs 1 (crash "
+        "isolation) whose health must be able to open "
+        "(--breaker-threshold >= 1)",
     )
     serve.add_argument(
         "--breaker-threshold", type=int, default=5, metavar="N",
@@ -1061,7 +1047,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--memory-limit", type=int, default=0, metavar="MIB",
-        help="worker address-space cap in MiB (with --jobs > 1)",
+        help="worker address-space cap in MiB (any worker pool: "
+        "--jobs > 1 or --supervised)",
     )
     serve.add_argument(
         "--index-store", default="", metavar="DIR",

@@ -48,7 +48,7 @@ class SubgraphQueryEngine:
 
     Every query is routed through a :class:`~repro.exec.base.QueryExecutor`
     (cooperative in-process containment by default; pass a
-    :class:`~repro.exec.parallel.SubprocessExecutor` for hard kill-based
+    :class:`~repro.exec.parallel.ParallelExecutor` for hard kill-based
     limits), so per-query failures come back as flagged results instead of
     exceptions.
     """

@@ -14,13 +14,13 @@ harness and the query pipelines:
   the hard-deadline rule) that the pool below and the shard process host
   are both built on, and :class:`~repro.exec.worker.Health`, the one
   failure throttle (backoff and breaker), one per pool or shard;
-* :mod:`repro.exec.parallel` — :class:`ParallelExecutor`, the pool: it
-  streams queries through ``jobs`` such workers with per-job hard
-  wall-clock limits, a memory cap, crash containment and bounded retry,
-  behind its ``health``; :class:`SubprocessExecutor` is that pool with
-  one worker;
-* :mod:`repro.exec.supervise` — :class:`SupervisedExecutor`, the
-  service-grade pool: the same pool with a ``Health`` that opens;
+* :mod:`repro.exec.parallel` — :class:`ParallelExecutor`, the one pool
+  class: it streams queries through ``jobs`` such workers with per-job
+  hard wall-clock limits, a memory cap, crash containment and bounded
+  retry, behind its ``health``.  ``create_executor``'s ``subprocess``
+  (one worker) and ``supervised`` (a ``Health`` that opens) are names
+  for it, and :func:`~repro.exec.base.executor_factory` is the one
+  ladder from configuration flags to an executor;
 * :mod:`repro.exec.journal` — the append-only JSONL journal that makes
   benchmark matrices resumable;
 * :mod:`repro.exec.faults` — deterministic fault injection used by tests
@@ -34,11 +34,11 @@ from repro.exec.base import (
     QueryExecutor,
     classify_exception,
     create_executor,
+    executor_factory,
     failure_result,
 )
 from repro.exec.journal import RunJournal
-from repro.exec.parallel import ParallelExecutor, SubprocessExecutor
-from repro.exec.supervise import SupervisedExecutor
+from repro.exec.parallel import ParallelExecutor
 from repro.exec.worker import Health
 
 __all__ = [
@@ -48,10 +48,9 @@ __all__ = [
     "ParallelExecutor",
     "QueryExecutor",
     "RunJournal",
-    "SubprocessExecutor",
-    "SupervisedExecutor",
     "classify_exception",
     "create_executor",
+    "executor_factory",
     "failure_result",
     "faults",
 ]

@@ -18,7 +18,7 @@ drive the same loop.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.metrics import QueryFailure, QueryResult
@@ -38,6 +38,7 @@ __all__ = [
     "QueryExecutor",
     "classify_exception",
     "create_executor",
+    "executor_factory",
     "failure_result",
     "gather",
 ]
@@ -196,7 +197,7 @@ class InProcessExecutor(QueryExecutor):
     Containment is exception-level only: deadline expiry, memory-budget
     violations and unexpected exceptions become failure records, but a
     non-cooperative loop or real memory exhaustion is *not* stopped —
-    that is what :class:`~repro.exec.parallel.SubprocessExecutor` is for.
+    that is what a :class:`~repro.exec.parallel.ParallelExecutor` is for.
 
     There is nothing to overlap with, so ``submit`` runs the query on the
     spot and parks the result for the next ``collect``.
@@ -240,31 +241,46 @@ class InProcessExecutor(QueryExecutor):
         return done
 
 
-EXECUTOR_NAMES = ("inprocess", "subprocess", "parallel", "supervised")
+#: The process-backed names are aliases of one pool class, each mapped to
+#: its width when ``jobs`` is not given and the ``threshold`` of its
+#: ``Health`` when none is given.
+_POOL_ALIASES = {"subprocess": (1, 0), "parallel": (4, 0), "supervised": (4, 5)}
+EXECUTOR_NAMES = ("inprocess", *_POOL_ALIASES)
 
 
 def create_executor(name: str = "inprocess", **kwargs) -> QueryExecutor:
-    """Instantiate an executor by configuration name.
-
-    ``kwargs`` reach the executor constructor (e.g.
-    ``memory_limit_mb=512``, ``jobs=4``).  The three process-backed
-    names are one pool: ``subprocess`` is ``parallel`` with one worker,
-    ``supervised`` is ``parallel`` whose ``Health`` opens.
+    """Instantiate an executor by configuration name; ``kwargs`` reach
+    the pool (e.g. ``jobs=4``, ``memory_limit_mb=512``, ``health=...``).
     """
     if name == "inprocess":
         return InProcessExecutor()
-    if name == "subprocess":
-        from repro.exec.parallel import SubprocessExecutor
+    if name not in _POOL_ALIASES:
+        raise ConfigurationError(
+            f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}"
+        )
+    from repro.exec.parallel import ParallelExecutor
+    from repro.exec.worker import Health
 
-        return SubprocessExecutor(**kwargs)
-    if name == "parallel":
-        from repro.exec.parallel import ParallelExecutor
+    width, threshold = _POOL_ALIASES[name]
+    health = kwargs.pop("health", None) or Health(threshold=threshold)
+    if threshold and health.threshold < 1:
+        raise ValueError(f"a {name} pool's health threshold must be positive")
+    if kwargs.get("jobs") is None:
+        kwargs["jobs"] = width
+    return ParallelExecutor(health=health, **kwargs)
 
-        return ParallelExecutor(**kwargs)
-    if name == "supervised":
-        from repro.exec.supervise import SupervisedExecutor
 
-        return SupervisedExecutor(**kwargs)
-    raise ConfigurationError(
-        f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}"
+def executor_factory(
+    name: str = "inprocess", jobs: int = 1, memory_limit_mb: int | None = None
+) -> "Callable[[Health | None], QueryExecutor] | None":
+    """The one flags -> executor ladder: a pool constructor, taking the
+    ``Health`` to arm it with (a shard's own, or ``None``), when ``jobs >
+    1`` or ``name`` asks for isolation (``subprocess``/``supervised``);
+    otherwise ``None``, the engine's in-process default."""
+    if name == "inprocess":
+        if jobs <= 1:
+            return None
+        name = "parallel"
+    return lambda health=None: create_executor(
+        name, jobs=jobs, memory_limit_mb=memory_limit_mb, health=health
     )

@@ -20,12 +20,13 @@ limits *hard* — the parent can kill what it cannot pre-empt:
   met as a dead pipe on send or as an EOF a millisecond later — costs
   the query it held exactly one of its ``max_retries``; a query that
   runs out fails as a ``crash`` stamped ``retries == max_retries``.
-* **one throttle** — every worker lost (a death, a start-up or ack
-  timeout) is one failure of the pool's :class:`~repro.exec.worker.
-  Health`, and every result — a hard-deadline kill included: that worker
-  ran its query — a success.  A new binding starts with no backoff left
+* **one throttle** — every worker lost is counted on the pool's
+  :class:`~repro.exec.worker.Health` by the reap rule it shares with the
+  shard process host (:meth:`~repro.exec.worker.WorkerProcess.reap`: a
+  hard-deadline kill is a success, every other loss one failure), and
+  every result is a success.  A new binding starts with no backoff left
   over.  Its capped exponential backoff spaces the respawns; when it
-  is armed with a ``threshold`` (the supervised pool, and the pools
+  is armed with a ``threshold`` (the ``supervised`` name, and the pools
   ``serve`` builds) that many consecutive failures open it: no respawns
   until a half-open probe, and queued queries fail fast as ``crash``
   once no worker is left.  The pool is sized by the work it can hand out
@@ -48,8 +49,7 @@ arrives — the pipe buffers it), and all timeout accounting (startup, ack,
 hard wall-clock) is driven from the loop.  ``run_many`` is the base
 class's "submit all, collect all" over this stream.  One ``(pipeline,
 db)`` binding is live at a time: rebinding or invalidating while jobs are
-in flight is a caller bug and raises.  :class:`SubprocessExecutor` is the
-same loop with one worker.
+in flight is a caller bug and raises.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.graph.labeled_graph import Graph
     from repro.matching.plan import QueryPlan
 
-__all__ = ["ParallelExecutor", "SubprocessExecutor"]
+__all__ = ["ParallelExecutor"]
 
 
 class _Job:
@@ -134,12 +134,9 @@ class ParallelExecutor(QueryExecutor):
     respawns (default: backoff only, never opens).
     """
 
-    #: Pool width when ``jobs`` is not given.
-    default_jobs = 4
-
     def __init__(
         self,
-        jobs: int | None = None,
+        jobs: int = 4,
         memory_limit_mb: int | None = None,
         hard_timeout_factor: float = HARD_TIMEOUT_FACTOR,
         hard_timeout_grace: float = HARD_TIMEOUT_GRACE,
@@ -149,8 +146,6 @@ class ParallelExecutor(QueryExecutor):
         start_method: str | None = None,
         health: Health | None = None,
     ) -> None:
-        if jobs is None:
-            jobs = self.default_jobs
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = jobs
@@ -198,7 +193,7 @@ class ParallelExecutor(QueryExecutor):
         self.spawn_total += 1
         return worker
 
-    def _reap(self, worker: _Worker, kill: bool) -> None:
+    def _discard(self, worker: _Worker, kill: bool) -> None:
         worker.scrap(kill=kill)
         if worker.exitcode is not None:
             self._last_exit = worker.exitcode
@@ -207,7 +202,7 @@ class ParallelExecutor(QueryExecutor):
 
     def _scrap_all(self) -> None:
         for w in list(self._workers):
-            self._reap(w, kill=True)
+            self._discard(w, kill=True)
         self._bound = None
 
     def _require_idle(self, what: str) -> None:
@@ -431,19 +426,15 @@ class ParallelExecutor(QueryExecutor):
 
     def _lose(self, worker: _Worker, kill: bool, deliberate: bool,
               slow: bool = False) -> "_Job | None":
-        """Reap a failed worker; returns the job it held, if any.  One
-        killed because its query was ``slow`` (the hard deadline) ran
-        that query: its Health counts a success, not a failure."""
+        """Reap a failed worker under the reap rule (``slow``: killed at
+        its hard deadline); returns the job it held, if any."""
         job, worker.job = worker.job, None
         if deliberate:  # a containment SIGKILL (hard or ack timeout)
             self.worker_kills += 1
         else:
             self.worker_deaths += 1
-        if slow:
-            self.health.success()
-        else:
-            self.health.failure()
-        self._reap(worker, kill)
+        worker.reap(self.health, kill, slow)
+        self._discard(worker, kill)
         return job
 
     def _on_death(self, worker: _Worker, now: float) -> None:
@@ -513,9 +504,3 @@ class ParallelExecutor(QueryExecutor):
             w.proc.join(timeout=max(0.0, deadline - time.perf_counter()))
         self._scrap_all()
 
-
-class SubprocessExecutor(ParallelExecutor):
-    """The pool of one: each query in a single persistent, killable worker
-    (``--executor subprocess``).  Same loop, same limits, ``jobs=1``."""
-
-    default_jobs = 1

@@ -4,9 +4,10 @@ The cooperative :class:`~repro.utils.timing.Deadline` only stops code that
 polls it, and Python cannot pre-empt a hot loop in its own process, so
 containment here always means *a killable child on a duplex pipe*.  This
 module is the only place in ``src/`` that creates one (a test walks the
-tree to keep it that way): :class:`WorkerProcess`, the :class:`Health`
-that throttles a failing domain, the :func:`hard_deadline` rule, and the
-query pool's child loop, :func:`query_worker_main`.
+tree to keep it that way): :class:`WorkerProcess` with its reap rule
+(:meth:`WorkerProcess.reap`), the :class:`Health` that throttles a
+failing domain, the :func:`hard_deadline` rule, and the query pool's
+child loop, :func:`query_worker_main`.
 
 :class:`~repro.exec.parallel.ParallelExecutor` multiplexes ``jobs`` of
 these in one event loop behind one :class:`Health`; :class:`~repro.shard.
@@ -127,6 +128,17 @@ class WorkerProcess:
                 return DEAD
             if deadline is not None and time.perf_counter() >= deadline:
                 return TIMEOUT
+
+    def reap(self, health: "Health", kill: bool, slow: bool = False) -> None:
+        """The reap rule of both supervisors: scrap a lost worker and
+        count it once.  One killed at its hard deadline (``slow``) ran its
+        work: a success.  Any other loss — a start-up death, an ack
+        timeout, a death before, during or between requests — a failure."""
+        self.scrap(kill=kill)
+        if slow:
+            health.success()
+        else:
+            health.failure()
 
     def scrap(self, kill: bool = False) -> None:
         """Reap the child and close both handles (idempotent).

@@ -55,7 +55,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 from repro.core.algorithms import create_engine
-from repro.exec import Health, create_executor, faults
+from repro.exec import Health, create_executor, executor_factory, faults
 from repro.graph.database import GraphDatabase
 from repro.graph.generators import generate_database
 from repro.service.client import ServiceClient, ServiceError, wait_for_service
@@ -194,25 +194,17 @@ class _ServiceUnderTest:
                 db,
                 self._shards,
                 lambda: create_pipeline(config.algorithm),
-                executor_factory=(
-                    (lambda index: create_executor("parallel", jobs=self._jobs))
-                    if self._jobs > 1 else None
-                ),
+                executor_factory=executor_factory(jobs=self._jobs),
                 shard_host=self._shard_host,
                 partitioner=self._partitioner,
             )
         else:
-            if self._executor is None:
-                executor = (
-                    create_executor("parallel", jobs=self._jobs)
-                    if self._jobs > 1 else None
-                )
-            elif self._executor == "inprocess":
-                executor = None
-            else:
-                executor = create_executor(
-                    self._executor, jobs=self._jobs, health=self._health
-                )
+            name = self._executor or (
+                "parallel" if self._jobs > 1 else "inprocess"
+            )
+            executor = None if name == "inprocess" else create_executor(
+                name, jobs=self._jobs, health=self._health
+            )
             engine = create_engine(db, config.algorithm, executor=executor)
         engine.build_index()
         self.service = QueryService(

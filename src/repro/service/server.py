@@ -46,7 +46,9 @@ pieces, in the order a request meets them:
   one admitted as its half-open probe, until that probe answers;
   mutations carrying a client ``request_key`` are deduplicated across
   retries.  An engine with no pool — in-process, or sharded, which skips
-  its down shards itself — never answers ``degraded``.
+  its down shards itself — never answers a query ``degraded``; a
+  mutation its owning shard refused unsent (that shard's Health open or
+  backing off) is answered ``degraded`` with that Health's retry-after.
 * **graceful drain** — SIGTERM/SIGINT (or the ``shutdown`` verb) stop
   admission, finish every queued and in-flight request, then exit.  A
   kill mid-flight loses nothing already answered: responses are written
@@ -754,9 +756,16 @@ class QueryService:
             ))
             return
         except Exception as exc:
-            self._count("bad_requests")
+            # A mutation its shard refused unsent (a ShardWorkerError
+            # with ``retry_after``; not imported, to keep unsharded serving
+            # from loading the shard package) never ran: retryable.  One
+            # lost mid-exchange may have journaled: terminal.
+            retry = getattr(exc, "retry_after", None)
+            refused = retry is not None
+            self._count("rejected_degraded" if refused else "bad_requests")
             request.respond(error_response(
-                request.request_id, "bad_request", f"{type(exc).__name__}: {exc}"
+                request.request_id, "degraded" if refused else "bad_request",
+                f"{type(exc).__name__}: {exc}", retry_after=retry,
             ))
             return
         self._count("mutations")

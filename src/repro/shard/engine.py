@@ -6,10 +6,11 @@ placement by graph id through a pluggable :class:`~repro.shard.partition.
 Partitioner`) and runs one full :class:`~repro.core.engine.
 SubgraphQueryEngine` per partition — its own pipeline and index, its own
 :class:`~repro.store.IndexStore` subdirectory and write-ahead mutation
-log, its own (optionally supervised) worker pool.  Queries scatter-gather
-through the :class:`~repro.shard.router.ShardRouter`; mutations route to
-the owning shard only, so journaling, index maintenance, and worker-pool
-invalidation all stay scoped to one partition.
+log, its own worker pool, if any (armed with the shard's ``Health``).
+Queries scatter-gather through the :class:`~repro.shard.router.
+ShardRouter`; mutations route to the owning shard only, so journaling,
+index maintenance, and worker-pool invalidation all stay scoped to one
+partition.
 
 The class is surface-compatible with :class:`SubgraphQueryEngine` where
 the service and CLI touch it (``query``/``query_many``/``build_index``/
@@ -103,7 +104,8 @@ class _Shard:
     index: int
     engine: SubgraphQueryEngine
     #: The shard's one failure throttle: the router's "down", and the
-    #: process host's respawn gate.
+    #: respawn gate of its workers' owner (the process host, or the
+    #: shard's pool, which is armed with this same object).
     health: Health
     histogram: LatencyHistogram
     store_dir: Path | None = None
@@ -231,7 +233,7 @@ class ShardedEngine:
         num_shards: int,
         pipeline_factory: "Callable[[], QueryPipeline]",
         *,
-        executor_factory: "Callable[[int], QueryExecutor] | None" = None,
+        executor_factory: "Callable[[Health], QueryExecutor] | None" = None,
         cache: int = 0,
         plan_cache: int = 256,
         partitioner: "str | Partitioner" = "hash",
@@ -338,8 +340,11 @@ class ShardedEngine:
             for gid, graph in db.items():
                 mirror.add_graph_with_id(gid, graph)
             db = mirror
+        health = self._health()
+        # The shard's one Health: a pool the factory builds is armed with
+        # it, so the router and the pool count into the same object.
         executor = (
-            self._executor_factory(index)
+            self._executor_factory(health)
             if self._executor_factory is not None else None
         )
         engine = SubgraphQueryEngine(
@@ -353,7 +358,7 @@ class ShardedEngine:
         return _Shard(
             index=index,
             engine=engine,
-            health=self._health(),
+            health=health,
             histogram=LatencyHistogram(),
             store_dir=self._shard_dir(index),
         )

@@ -38,10 +38,13 @@ shard — and the next dispatch respawns the worker from its frozen base
 partition (store mode: WAL recovery replays every acknowledged mutation,
 so the respawned shard answers bit-identically) or from the parent's
 current mirror (storeless mode).  The shard's
-:class:`~repro.exec.worker.Health` — the same object the router asks
-whether the shard is down — counts every worker lost and every reply,
-and its backoff gates the respawn: an exchange refused while it backs
-off raises :class:`ShardWorkerError` without counting another failure.
+:class:`~repro.exec.worker.Health` — the same object the router reads
+to report the shard down — counts every worker lost under the reap rule
+the query pool uses (:meth:`~repro.exec.worker.WorkerProcess.reap`)
+and every reply as a success.  One gate admits queries and mutations
+alike: nothing while it is open (the first after the cooldown is the
+half-open probe), no respawn while it backs off.  A refusal raises
+:class:`ShardWorkerError` with ``retry_after``, unsent and uncounted.
 
 Hang semantics: a *query* exchange that carries a ``time_limit`` waits
 for its reply at most :func:`~repro.exec.worker.hard_deadline` of the
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.exec import faults
@@ -88,7 +92,12 @@ __all__ = ["ShardProcessHost", "ShardWorkerError"]
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard's worker process is unavailable (died or cannot start)."""
+    """A shard's worker process is unavailable (died or cannot start);
+    ``retry_after`` is set when the exchange was refused unsent."""
+
+    def __init__(self, message: str, retry_after: float | None = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 # ----------------------------------------------------------------------
@@ -330,30 +339,31 @@ class ShardProcessHost:
     def _lost(
         self, worker: _Worker, what: str, slow: bool = False
     ) -> ShardWorkerError:
-        """Reap a failed worker (killing it if it is somehow still alive)
-        and count the failure; returns the error for the caller to raise.
-        One killed because its request was ``slow`` (the hard deadline)
-        ran that request: its Health counts a success, not a failure."""
-        worker.process.scrap(kill=True)
-        if slow:
-            worker.health.success()
-        else:
-            worker.health.failure()
+        """Reap a failed worker (``slow``: killed at its hard deadline);
+        returns the error for the caller to raise."""
+        worker.process.reap(worker.health, kill=True, slow=slow)
         return ShardWorkerError(
             f"shard {worker.index} worker {what} "
             f"(exit code {worker.process.exitcode})"
         )
 
     def _ensure(self, worker: _Worker) -> WorkerProcess:
-        """A live worker, respawning if needed; raises on backoff (a
-        refusal, not another failure) or on a failed respawn."""
-        if not worker.process.alive:
-            worker.process.scrap()
-            if not worker.health.ready():
-                raise ShardWorkerError(
-                    f"shard {worker.index} worker in respawn backoff "
-                    f"(consecutive failures: {worker.health.failures})"
-                )
+        """The one gate of every exchange: a live worker, respawned if
+        needed; raises on a refusal or a failed respawn."""
+        process, health = worker.process, worker.health
+        if process.proc is not None and not process.alive:
+            process.reap(health, kill=False)  # an idle death
+        # Backoff first: a refusal must not use up the half-open probe.
+        if not ((process.alive or health.ready()) and health.allow()):
+            raise ShardWorkerError(
+                f"shard {worker.index} refused: health {health.state} "
+                f"(consecutive failures: {health.failures})",
+                retry_after=max(
+                    health.retry_after(),
+                    health.backoff_until - time.monotonic(),
+                ),
+            )
+        if not process.alive:
             worker.restarts += 1
             self._spawn(worker)  # raises ShardWorkerError on startup failure
         return worker.process

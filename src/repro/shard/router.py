@@ -18,12 +18,14 @@ state), then merges the per-shard answers deterministically:
   partition every answer came from.
 
 Failure semantics: each shard has one :class:`~repro.exec.worker.Health`
-(``_Shard.health``).  A batch the shard raised on is one failure, a batch
-it answered one success; under the process host the host has already
-told the Health about its worker (a :class:`~repro.shard.host.
-ShardWorkerError`), so the router counts nothing more for it.  A shard
-that is down — its Health open, refusing while it backs off, raised
-mid-batch, or answered with failures — makes the merged result
+(``_Shard.health``), shared with the owner of its workers (the process
+host, or the shard's pool).  A batch the shard raised on is one failure,
+a batch it answered one success — except what the owner counted already
+(a :class:`~repro.shard.host.ShardWorkerError`, a ``crash`` result) —
+and the owner's respawn gate asks ``allow()``, so the router only reads
+such a shard's Health rather than spend its half-open probe.  A shard
+that is down — its Health open, refusing while it backs off,
+raised mid-batch, or answered with failures — makes the merged result
 **partial**: flagged ``degraded`` with the missing shard list, never
 silently wrong.  A refusal is not counted as another failure.  Only when
 *every* shard fails does the merged result carry a failure.
@@ -147,7 +149,9 @@ class ShardRouter:
                 )
                 return
             shard.histogram.record(time.perf_counter() - started)
-            shard.health.success()
+            if all(r.failure is None or r.failure.kind != "crash"
+                   for r in results):  # (The owner counted each crash.)
+                shard.health.success()
             outcomes[shard.index] = (
                 "ok", dict(zip(positions, results))
             )
@@ -160,7 +164,7 @@ class ShardRouter:
                 # Every query in the batch was ruled out: the shard's
                 # contribution is provably empty, no dispatch needed.
                 outcomes[shard.index] = ("ok", {})
-            elif not shard.health.allow():
+            elif not self._admits(shard):
                 outcomes[shard.index] = ("down", "breaker_open")
             else:
                 work.append((shard, positions))
@@ -183,6 +187,14 @@ class ShardRouter:
             self._merge(i, query, shards, outcomes, pruned)
             for i, query in enumerate(queries)
         ]
+
+    def _admits(self, shard: "_Shard") -> bool:
+        """Whether the breaker lets a batch reach ``shard`` now: asked
+        of an in-process shard, only read where the worker owner asks."""
+        health = shard.health
+        if self._runner is not None or shard.engine.executor.health is health:
+            return not health.retry_after()
+        return health.allow()
 
     # ------------------------------------------------------------------
     # Merge

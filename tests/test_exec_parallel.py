@@ -1,10 +1,10 @@
 """The parallel executor: serial-identical results, containment, resume.
 
 The contract under test is the tentpole's: a ``jobs``-wide pool returns
-the exact per-query outcome sequence the serial subprocess executor
-returns — including injected OOT/crash faults — while one pathological
-query never stalls the rest of the batch, and journaled benchmark runs
-resume across serial/parallel boundaries.
+the exact per-query outcome sequence a pool of one worker returns —
+including injected OOT/crash faults — while one pathological query never
+stalls the rest of the batch, and journaled benchmark runs resume across
+serial/parallel boundaries.
 
 Faults here are ``match``-based (never ``times``-based): ``times``
 counters are per process, so a pool of N workers would fire such a fault
@@ -20,7 +20,7 @@ import pytest
 from helpers import nx_contains
 from repro.core import create_engine
 from repro.exec import Health, faults
-from repro.exec.parallel import ParallelExecutor, SubprocessExecutor
+from repro.exec.parallel import ParallelExecutor
 from repro.graph import Graph
 
 
@@ -48,7 +48,8 @@ def signature(result):
 
 
 def run_serial(small_db, queries, time_limit=30.0):
-    with create_engine(small_db, "CFQL", executor=SubprocessExecutor()) as eng:
+    executor = ParallelExecutor(jobs=1)
+    with create_engine(small_db, "CFQL", executor=executor) as eng:
         eng.build_index()
         return eng.query_many(queries, time_limit=time_limit)
 

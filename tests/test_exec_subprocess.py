@@ -1,4 +1,4 @@
-"""Hard containment via the subprocess executor (kills, caps, retries).
+"""Hard containment in a pool of one worker (kills, caps, retries).
 
 These are the tentpole's acceptance tests: a busy loop that never polls
 the cooperative deadline is SIGKILLed and recorded OOT, a crashing query
@@ -13,7 +13,7 @@ import pytest
 from helpers import nx_contains
 from repro.core import create_engine
 from repro.exec import Health, faults
-from repro.exec.parallel import SubprocessExecutor
+from repro.exec.parallel import ParallelExecutor
 from repro.graph import Graph
 
 
@@ -29,7 +29,7 @@ def expected_answers(query, db):
 
 @pytest.fixture()
 def engine(small_db):
-    eng = create_engine(small_db, "CFQL", executor=SubprocessExecutor())
+    eng = create_engine(small_db, "CFQL", executor=ParallelExecutor(jobs=1))
     eng.build_index()
     yield eng
     eng.close()
@@ -57,7 +57,9 @@ class TestBasics:
         assert result.failure is None
 
     def test_close_is_idempotent(self, small_db):
-        engine = create_engine(small_db, "CFQL", executor=SubprocessExecutor())
+        engine = create_engine(
+            small_db, "CFQL", executor=ParallelExecutor(jobs=1)
+        )
         engine.build_index()
         engine.query(named_square("q0"), time_limit=30.0)
         engine.close()
@@ -66,7 +68,7 @@ class TestBasics:
     def test_ifv_pipeline_runs_in_worker(self, small_db):
         query = named_square("q0")
         with create_engine(
-            small_db, "Grapes", executor=SubprocessExecutor(),
+            small_db, "Grapes", executor=ParallelExecutor(jobs=1),
             index_max_path_edges=2,
         ) as engine:
             engine.build_index()
@@ -125,7 +127,7 @@ class TestCrashContainment:
         query = named_square("q0")
         with create_engine(
             small_db, "CFQL",
-            executor=SubprocessExecutor(health=Health(base=0.01)),
+            executor=ParallelExecutor(jobs=1, health=Health(base=0.01)),
         ) as engine:
             engine.build_index()
             result = engine.query(query, time_limit=30.0)
@@ -136,8 +138,8 @@ class TestCrashContainment:
         faults.inject("worker:start", "crash")
         with create_engine(
             small_db, "CFQL",
-            executor=SubprocessExecutor(
-                max_retries=2, health=Health(base=0.01)
+            executor=ParallelExecutor(
+                jobs=1, max_retries=2, health=Health(base=0.01)
             ),
         ) as engine:
             engine.build_index()
@@ -155,7 +157,7 @@ class TestMemoryCap:
         faults.inject("query:start", "alloc", arg=8192.0)  # 8 GiB
         with create_engine(
             small_db, "CFQL",
-            executor=SubprocessExecutor(memory_limit_mb=2048),
+            executor=ParallelExecutor(jobs=1, memory_limit_mb=2048),
         ) as engine:
             engine.build_index()
             result = engine.query(named_square("q0"), time_limit=30.0)
@@ -167,7 +169,7 @@ class TestMemoryCap:
         faults.inject("query:start", "alloc", arg=8192.0, match="q1")
         with create_engine(
             small_db, "CFQL",
-            executor=SubprocessExecutor(memory_limit_mb=2048),
+            executor=ParallelExecutor(jobs=1, memory_limit_mb=2048),
         ) as engine:
             engine.build_index()
             results = engine.query_many(

@@ -1,9 +1,10 @@
-"""The supervised executor: watchdog, restart backoff, storm fuse, stats.
+"""The supervised pool: watchdog, restart backoff, storm fuse, stats.
 
-The contract: :class:`SupervisedExecutor` answers exactly like
-:class:`ParallelExecutor` on healthy and singly-faulted batches (it only
-arms the pool's :class:`Health`, not failure classification), while a
-pool that cannot hold workers stops respawning — backoff between
+The contract: a :class:`ParallelExecutor` armed with a :class:`Health`
+that opens (what ``create_executor("supervised")`` and ``serve
+--supervised`` build) answers exactly like an unarmed pool on healthy and
+singly-faulted batches (the Health is not failure classification), while
+a pool that cannot hold workers stops respawning — backoff between
 attempts, the Health opening under sustained death (the storm fuse) —
 and heals on the first success.
 """
@@ -19,7 +20,6 @@ from repro.core import create_engine
 from repro.exec import EXECUTOR_NAMES, Health, create_executor, faults
 from repro.exec.base import InProcessExecutor
 from repro.exec.parallel import ParallelExecutor
-from repro.exec.supervise import SupervisedExecutor
 from repro.graph import Graph
 
 
@@ -33,8 +33,15 @@ def expected_answers(query, db):
     return {gid for gid, graph in db.items() if nx_contains(query, graph)}
 
 
+def supervised_pool(jobs=2, health=None):
+    """The supervised pool: one whose Health opens."""
+    return ParallelExecutor(
+        jobs=jobs, health=health if health is not None else Health(threshold=5)
+    )
+
+
 def run_supervised(small_db, queries, time_limit=30.0, jobs=2, **kwargs):
-    executor = SupervisedExecutor(jobs=jobs, **kwargs)
+    executor = supervised_pool(jobs=jobs, **kwargs)
     with create_engine(small_db, "CFQL", executor=executor) as eng:
         eng.build_index()
         return eng.query_many(queries, time_limit=time_limit), executor
@@ -45,14 +52,14 @@ class TestRegistry:
         assert "supervised" in EXECUTOR_NAMES
         executor = create_executor("supervised", jobs=2)
         try:
-            assert isinstance(executor, SupervisedExecutor)
-            assert isinstance(executor, ParallelExecutor)
+            assert type(executor) is ParallelExecutor
+            assert executor.health.threshold == 5
         finally:
             executor.close()
 
     def test_storm_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
-            SupervisedExecutor(jobs=1, health=Health(threshold=0))
+            create_executor("supervised", jobs=1, health=Health(threshold=0))
 
 
 class TestHealthyParity:
@@ -66,7 +73,7 @@ class TestHealthyParity:
 
     def test_success_resets_the_backoff(self, small_db):
         faults.inject("worker.query", "crash", match="q1")
-        executor = SupervisedExecutor(jobs=2)
+        executor = supervised_pool(jobs=2)
         with create_engine(small_db, "CFQL", executor=executor) as eng:
             eng.build_index()
             results = eng.query_many(
@@ -89,13 +96,13 @@ class TestWorkerStats:
         assert InProcessExecutor().worker_stats() is None
 
     def test_stats_shape_and_liveness_rows(self, small_db):
-        executor = SupervisedExecutor(jobs=2)
+        executor = supervised_pool(jobs=2)
         with create_engine(small_db, "CFQL", executor=executor) as eng:
             eng.build_index()
             eng.query_many([named_square(f"q{i}") for i in range(4)],
                            time_limit=30.0)
             stats = executor.worker_stats()
-            assert stats["executor"] == "SupervisedExecutor"
+            assert stats["executor"] == "ParallelExecutor"
             assert stats["supervised"] is True
             assert stats["jobs"] == 2
             assert stats["spawns"] == 2
@@ -160,7 +167,7 @@ class TestStormFuse:
 
     def test_pool_recovers_after_the_storm_cooldown(self, small_db):
         faults.inject("worker.query", "crash")
-        executor = SupervisedExecutor(
+        executor = supervised_pool(
             jobs=2,
             health=Health(threshold=3, cooldown=0.2, base=0.01, cap=0.05),
         )

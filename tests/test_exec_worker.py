@@ -1,10 +1,10 @@
 """The worker-process primitive, tested once for every supervisor.
 
-:class:`WorkerProcess` and :class:`Health` are what the query
-pool, the supervised pool and the shard process host are all built on,
-so the rules they share — drain a result written just before death,
-tell a silent child from a dead one, reap without zombies, back off the
-same way — are pinned here against real child processes.  The last
+:class:`WorkerProcess` and :class:`Health` are what the query pool and
+the shard process host are both built on, so the rules they share —
+drain a result written just before death, tell a silent child from a
+dead one, reap without zombies, back off the same way — are pinned here
+against real child processes.  The last
 tests are structural: they keep the duplication from growing back.
 """
 
@@ -244,3 +244,32 @@ def test_one_dispatch_loop():
         and node.func.attr == "query_many"
     ]
     assert not barrier_calls, barrier_calls
+
+
+def test_one_pool_class():
+    """``subprocess`` and ``supervised`` are names for the one pool, not
+    subclasses of it, and the reap rule — which losses are failures — is
+    written once, where both reap paths (the pool and the shard process
+    host) call it."""
+    root = Path(repro.__file__).parent
+    subclasses, reap_rules, reap_calls = [], [], set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "reap"
+            ):
+                reap_calls.add(str(path.relative_to(root)))
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None))
+                == "ParallelExecutor"
+                for base in node.bases
+            ):
+                subclasses.append(f"{path.relative_to(root)}:{node.name}")
+            if isinstance(node, ast.FunctionDef) and node.name == "reap":
+                reap_rules.append(str(path.relative_to(root)))
+    assert not subclasses, subclasses
+    assert reap_rules == ["exec/worker.py"], reap_rules
+    assert reap_calls == {"exec/parallel.py", "shard/host.py"}, reap_calls

@@ -10,6 +10,8 @@ is a true answer; every missing answer lives on the downed shard).
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
@@ -17,11 +19,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import create_engine, create_pipeline
-from repro.exec import Health, create_executor, faults
+from repro.exec import Health, ParallelExecutor, create_executor, faults
 from repro.exec.worker import hard_deadline
 from repro.graph import GraphDatabase, generate_database, random_walk_query
 from repro.graph.labeled_graph import Graph
 from repro.shard import Partitioner, ShardedEngine
+from repro.shard.host import ShardWorkerError
 from repro.utils.errors import ConfigurationError
 from repro.workloads.querysets import generate_query_set
 from strategies import connected_graphs
@@ -375,6 +378,131 @@ def test_process_host_parity_after_mutations(workload):
     for result, want in zip(results, expected):
         assert sorted(result.answers) == sorted(want.answers)
         assert sorted(result.candidates) == sorted(want.candidates)
+
+
+class SpyHealth(Health):
+    """A Health that counts the failures reported to it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.failure_calls = 0
+
+    def failure(self) -> float:
+        self.failure_calls += 1
+        return super().failure()
+
+
+def test_process_host_idle_death_is_one_failure(workload):
+    """A shard worker that dies between exchanges is reaped by the same
+    rule as the pool's: one failure of the shard's Health, counted when
+    the next exchange finds it dead — and only once, however many
+    exchanges the respawn backoff then refuses."""
+    db, queries = workload
+    with process_sharded(
+        db, 2, health=lambda: SpyHealth(threshold=3)
+    ) as engine:
+        engine.build_index()
+        spy = engine._shards[1].health
+        os.kill(engine._host.worker_row(1)["pid"], signal.SIGKILL)
+        deadline = time.perf_counter() + 10.0
+        while engine._host.worker_row(1)["alive"]:
+            assert time.perf_counter() < deadline
+            time.sleep(0.01)
+        assert spy.failure_calls == 0
+        for _ in range(2):  # the reap (then a backoff refusal), a refusal
+            assert engine.query(queries[0]).metadata["partial"]
+        assert spy.failure_calls == 1
+        time.sleep(0.3)  # past the respawn backoff
+        assert not engine.query(queries[0]).metadata.get("partial")
+        assert spy.failure_calls == 1
+        assert engine._host.worker_row(1)["spawns"] == 2
+
+
+def test_mutation_to_an_open_shard_is_refused_unsent(workload, tmp_path):
+    """Queries and mutations pass one gate: a mutation owned by an open
+    process-host shard spawns no worker and is refused with the shard's
+    retry-after, leaving the Health open; the first exchange after the
+    cooldown is the half-open probe, and its success closes the shard."""
+    db, queries = workload
+    extra = generate_database(
+        num_graphs=6, num_vertices=10, avg_degree=2.5, num_labels=4, seed=79,
+    )
+    graphs = [graph for _, graph in extra.items()]
+    faults.inject(
+        "shard.worker.query", "crash", match="shard-1",
+        latch=str(tmp_path / "crash.latch"),
+    )
+    try:
+        with process_sharded(
+            db, 2, health=lambda: Health(threshold=1, cooldown=1.0)
+        ) as engine:
+            engine.build_index()
+            while engine.owner_of(engine.next_id) != 1:
+                engine.add_graph(graphs.pop())  # lands on shard 0
+            assert engine.query(queries[0]).metadata["missing_shards"] == [1]
+            health = engine._shards[1].health
+            assert health.state == "open"
+            time.sleep(0.2)  # past the backoff, well inside the cooldown
+            graph = graphs.pop()
+            with pytest.raises(ShardWorkerError) as refused:
+                engine.add_graph(graph)
+            assert 0.0 < refused.value.retry_after <= health.cooldown
+            assert engine._host.worker_row(1)["spawns"] == 1
+            assert health.state == "open"
+            assert engine.owner_of(engine.next_id) == 1  # no id was spent
+
+            time.sleep(refused.value.retry_after)
+            gid = engine.add_graph(graph)  # the half-open probe
+            assert health.transitions["open->half_open"] == 1
+            assert health.state == "closed"
+            assert engine._host.worker_row(1)["spawns"] == 2
+            assert engine.db[gid] is graph
+    finally:
+        faults.clear()
+
+
+def test_thread_host_shard_and_its_pool_share_one_health(workload):
+    """A thread-host shard with its own pool has one Health, the pool's:
+    each worker crash is counted once, so the shard opens within
+    ``threshold`` crashes and the router then skips it; after one
+    cooldown the next query is the pool's half-open probe and comes back
+    whole — the router only reads the Health, so it never spends that
+    probe itself."""
+    db, queries = workload
+    cooldown = 0.5
+    with ShardedEngine(
+        db, 2, lambda: create_pipeline(ALGORITHM),
+        executor_factory=lambda health: ParallelExecutor(jobs=1, health=health),
+        health=lambda: Health(threshold=2, cooldown=cooldown),
+    ) as engine:
+        engine.build_index()
+        shards = engine._shards
+        for shard in shards:
+            assert shard.health is shard.engine.executor.health
+        assert not engine.query(queries[0]).metadata.get("partial")
+        # Only shard 1's respawned workers carry the crash.
+        faults.inject("worker.query", "crash")
+        shards[1].engine.executor.invalidate()
+        try:
+            for _ in range(2):
+                result = engine.query(queries[0], time_limit=30.0)
+                assert result.metadata["missing_shards"] == [1]
+            health = shards[1].health
+            assert health.state == "open"
+            result = engine.query(queries[0], time_limit=30.0)
+            assert result.metadata["shards"]["per_shard"][1]["down"] == (
+                "breaker_open"
+            )
+            row = engine.shard_stats()[1]["breaker"]
+            pool = shards[1].engine.executor.worker_stats()
+            assert row["consecutive_failures"] == pool["consecutive_failures"]
+            assert row["consecutive_failures"] == 2
+        finally:
+            faults.clear()
+        time.sleep(cooldown)
+        whole = engine.query(queries[0], time_limit=30.0)
+        assert not whole.metadata.get("partial")
+        assert health.state == "closed"
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ import threading
 import pytest
 
 from repro.core import create_engine, create_pipeline
-from repro.exec import faults
+from repro.exec import Health, faults
 from repro.graph import generate_database
-from repro.service.client import ServiceClient, wait_for_service
+from repro.service.client import ServiceClient, ServiceError, wait_for_service
 from repro.service.server import QueryService, ServiceConfig
 from repro.shard import ShardedEngine
 from repro.workloads.querysets import generate_query_set
@@ -203,3 +203,46 @@ class TestPartialResults:
                 hit = client.query(queries[0])
                 assert hit["cache"] == "hit"
                 assert sorted(hit["answers"]) == full
+
+
+class TestRefusedMutation:
+    def test_mutation_to_an_open_shard_answers_degraded(self, tmp_path, queries):
+        """A mutation its process-host shard refused unsent never ran:
+        the service answers it ``degraded`` with the shard's retry-after
+        (not a terminal ``bad_request``), and a client that honours the
+        hint lands it once the shard's half-open probe succeeds."""
+        db = make_db()
+        extra = generate_database(
+            num_graphs=6, num_vertices=10, avg_degree=2.5, num_labels=4,
+            seed=23,
+        )
+        graphs = [graph for _, graph in extra.items()]
+        faults.inject(
+            "shard.worker.query", "crash", match="shard-1",
+            latch=str(tmp_path / "crash.latch"),
+        )
+        try:
+            engine = ShardedEngine(
+                db, 2, lambda: create_pipeline(ALGORITHM),
+                shard_host="process",
+                health=lambda: Health(threshold=1, cooldown=1.0),
+            )
+            engine.build_index()
+            with running_service(engine, tmp_path) as under_test:
+                with ServiceClient(under_test.address) as client:
+                    while engine.owner_of(engine.next_id) != 1:
+                        client.add_graph(graphs.pop())  # lands on shard 0
+                    partial = client.query(queries[0])
+                    assert partial["metadata"]["missing_shards"] == [1]
+                    with pytest.raises(ServiceError) as refused:
+                        client.add_graph(graphs[-1])
+                    assert refused.value.code == "degraded"
+                    assert 0.0 < refused.value.retry_after <= 1.0
+                with ServiceClient(under_test.address, retries=1) as client:
+                    gid = client.add_graph(graphs[-1])
+                assert engine.owner_of(gid) == 1
+                counters = under_test.service._counters
+                assert counters["rejected_degraded"] >= 1
+                assert counters["bad_requests"] == 0
+        finally:
+            faults.clear()
