@@ -18,10 +18,6 @@ Subcommands
     Manage the persistent index store: build and snapshot the IFV indices
     for a database, and structurally verify existing snapshots (framing,
     checksums, format version, optionally the database fingerprint).
-``repro bench-micro``
-    Time the hot matching-path kernels (candidate generation, bitset
-    intersection, per-matcher query latency, pool overlap, snapshot
-    warm start vs cold rebuild) and write ``BENCH_micro.json``.
 ``repro serve``
     Run the long-running query service: load a database and warm-start
     its index once, then answer queries over a Unix/TCP socket with
@@ -29,10 +25,6 @@ Subcommands
 ``repro query --connect ADDR``
     Send a query file to a running service instead of paying process
     startup, index build and database load per invocation.
-``repro bench-serve``
-    Closed-/open-loop load benchmark against the service; writes
-    ``BENCH_serve.json`` (throughput, p50/p95/p99 latency, cache on/off,
-    shard-scaling parity sweep).
 ``repro serve --shards N`` / ``repro query --shards N``
     Partition the database into N shards (deterministic hash placement)
     behind a scatter-gather router; answers stay bit-identical to the
@@ -46,7 +38,7 @@ Subcommands
 All commands operate on the text exchange format produced and consumed by
 :mod:`repro.graph.io`, so databases round-trip through files.
 
-Long-running commands (``reproduce``, ``query``, ``bench-serve``) convert
+Long-running commands (``reproduce``, ``query``) convert
 SIGTERM/SIGINT into a clean exit with code ``128 + signum`` (143/130)
 after flushing any journal state; ``repro serve`` instead drains in-
 flight requests before exiting with the same code.
@@ -496,31 +488,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_micro(args: argparse.Namespace) -> int:
-    from repro.bench.micro import run_microbench, write_report
-
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    try:
-        report = run_microbench(jobs=args.jobs, quick=args.quick)
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(args.profile)
-    write_report(report, args.output)
-    print(f"wrote {args.output}")
-    if profiler is not None:
-        import pstats
-
-        print(f"wrote profile to {args.profile}")
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(15)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core import SubgraphQueryEngine, create_pipeline
     from repro.exec import Health, executor_factory
@@ -630,121 +597,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
     return code
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.service.bench import BenchServeConfig, run_bench_serve, write_report
-
-    config = BenchServeConfig.quick() if args.quick else BenchServeConfig()
-    overrides = {}
-    if args.concurrency:
-        try:
-            levels = tuple(
-                sorted({int(c) for c in args.concurrency.split(",") if c})
-            )
-        except ValueError:
-            print(f"error: bad --concurrency list {args.concurrency!r}",
-                  file=sys.stderr)
-            return 2
-        if not levels or min(levels) < 1:
-            print("error: --concurrency needs positive integers", file=sys.stderr)
-            return 2
-        overrides["concurrency"] = levels
-    if args.requests:
-        overrides["requests_per_client"] = args.requests
-    if args.jobs:
-        overrides["jobs"] = args.jobs
-    if args.rate:
-        overrides["open_loop_rate"] = args.rate
-    if args.shard_counts:
-        try:
-            counts = tuple(
-                sorted({int(c) for c in args.shard_counts.split(",") if c})
-            )
-        except ValueError:
-            print(f"error: bad --shard-counts list {args.shard_counts!r}",
-                  file=sys.stderr)
-            return 2
-        if not counts or min(counts) < 1:
-            print("error: --shard-counts needs positive integers",
-                  file=sys.stderr)
-            return 2
-        overrides["shard_counts"] = counts
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    report = run_bench_serve(config, chaos=args.chaos)
-    for cell in report["closed_loop"]:
-        latency = cell["latency_ms"]
-        print(
-            f"closed cache={cell['cache']:<3} c={cell['concurrency']} "
-            f"{cell['throughput_qps']:8.1f} q/s  "
-            f"p50={latency['p50']:.2f}ms p95={latency['p95']:.2f}ms "
-            f"p99={latency['p99']:.2f}ms"
-        )
-    for cell in report["open_loop"]:
-        latency = cell["latency_ms"]
-        print(
-            f"open   cache={cell['cache']:<3} rate={cell['rate_qps']:.1f}/s "
-            f"{cell['throughput_qps']:8.1f} q/s  "
-            f"p50={latency['p50']:.2f}ms p95={latency['p95']:.2f}ms "
-            f"p99={latency['p99']:.2f}ms"
-        )
-    for cell in report["sharding"]["cells"]:
-        latency = cell["latency_ms"]
-        host = cell.get("shard_host", "thread")
-        print(
-            f"shard  n={cell['shards']} host={host:<7} "
-            f"{cell['throughput_qps']:8.1f} q/s  "
-            f"p50={latency['p50']:.2f}ms p99={latency['p99']:.2f}ms "
-            f"— answers identical to unsharded"
-        )
-    pruning = report.get("pruning")
-    if pruning:
-        for cell in pruning["cells"]:
-            latency = cell["latency_ms"]
-            print(
-                f"prune  {cell['throughput_qps']:8.1f} q/s  "
-                f"p50={latency['p50']:.2f}ms p99={latency['p99']:.2f}ms "
-                f"— {cell['shards_pruned']}/{cell['shard_queries']} "
-                f"shard-queries skipped, answers identical"
-            )
-    resilience = report.get("resilience")
-    if resilience:
-        for cell in resilience["overhead"]:
-            latency = cell["latency_ms"]
-            overhead = cell.get("p50_overhead_pct")
-            suffix = "" if overhead is None else f"  (+{overhead:.1f}% p50)"
-            print(
-                f"isolat {cell['executor']:<10} c={cell['concurrency']} "
-                f"p50={latency['p50']:.2f}ms p99={latency['p99']:.2f}ms"
-                f"{suffix}"
-            )
-        chaos_cell = resilience["chaos"]
-        print(
-            f"chaos  crash 1/{chaos_cell['crash_every']}: "
-            f"{chaos_cell['attempts']} requests, "
-            f"{chaos_cell['terminal_responses']} terminal, "
-            f"{chaos_cell['worker_restarts']} restarts, "
-            f"p99={chaos_cell['latency_ms']['p99']:.2f}ms, "
-            f"errors {chaos_cell['error_rate_pct']:.1f}% — service survived"
-        )
-        lifecycle = resilience["breaker_lifecycle"]
-        print(f"breaker transitions: {lifecycle['transitions']}")
-        durability = resilience.get("durability")
-        if durability:
-            print(
-                f"wal    {durability['mutations']} mutations: "
-                f"{durability['durable_mut_per_s']:.0f}/s durable vs "
-                f"{durability['baseline_mut_per_s']:.0f}/s plain "
-                f"(+{durability['overhead_pct']:.1f}%), "
-                f"{durability['replayed']} replayed, "
-                f"{durability['folded']} folded — recovery bit-identical"
-            )
-    write_report(report, args.output)
-    print(f"wrote {args.output}")
-    return 0
 
 
 def _cmd_shard_rebalance(args: argparse.Namespace) -> int:
@@ -968,28 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     iverify.set_defaults(func=_cmd_index_verify)
 
-    micro = sub.add_parser(
-        "bench-micro", help="time the hot matching-path kernels"
-    )
-    micro.add_argument(
-        "--output", "-o", default="BENCH_micro.json", metavar="PATH",
-        help="where to write the JSON report (default: BENCH_micro.json)",
-    )
-    micro.add_argument(
-        "--jobs", "-j", type=_positive_int, default=4, metavar="N",
-        help="pool width for the parallel-vs-serial comparison",
-    )
-    micro.add_argument(
-        "--quick", action="store_true",
-        help="small workload sized for CI smoke runs",
-    )
-    micro.add_argument(
-        "--profile", metavar="PATH", default=None,
-        help="profile the run with cProfile, dump stats to PATH and print "
-        "the top cumulative entries",
-    )
-    micro.set_defaults(func=_cmd_bench_micro)
-
     serve = sub.add_parser(
         "serve", help="run the long-running query service"
     )
@@ -1067,48 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shards_flag(serve)
     serve.set_defaults(func=_cmd_serve)
-
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="closed-/open-loop load benchmark against the query service",
-    )
-    bench_serve.add_argument(
-        "--output", "-o", default="BENCH_serve.json", metavar="PATH",
-        help="where to write the JSON report (default: BENCH_serve.json)",
-    )
-    bench_serve.add_argument(
-        "--concurrency", default="", metavar="LIST",
-        help="comma-separated closed-loop client counts (default: 1,2,4)",
-    )
-    bench_serve.add_argument(
-        "--requests", type=_positive_int, default=0, metavar="N",
-        help="requests per closed-loop client",
-    )
-    bench_serve.add_argument(
-        "--jobs", "-j", type=_positive_int, default=0, metavar="N",
-        help="serve with a parallel worker pool of this width",
-    )
-    bench_serve.add_argument(
-        "--rate", type=float, default=0.0, metavar="QPS",
-        help="open-loop arrival rate (default: 75%% of measured "
-        "closed-loop peak throughput)",
-    )
-    bench_serve.add_argument(
-        "--shard-counts", default="", metavar="LIST",
-        help="comma-separated shard counts for the parity-checked "
-        "sharding sweep (default: 1,2,4)",
-    )
-    bench_serve.add_argument(
-        "--quick", action="store_true",
-        help="small matrix sized for CI smoke runs",
-    )
-    bench_serve.add_argument(
-        "--chaos", action="store_true",
-        help="also run the self-asserting resilience suite: supervised "
-        "overhead cells, breaker lifecycle, and a crash storm that must "
-        "not kill the service",
-    )
-    bench_serve.set_defaults(func=_cmd_bench_serve)
 
     shard = sub.add_parser(
         "shard", help="administer a running sharded service"

@@ -19,7 +19,6 @@ from repro.matching.cfql import CFQLMatcher
 from repro.matching.enumeration import (
     EnumerationResult,
     enumerate_embeddings,
-    enumerate_embeddings_iterative,
     enumerate_embeddings_recursive,
 )
 from repro.matching.graphql import GraphQLMatcher
@@ -60,7 +59,6 @@ __all__ = [
     "compile_order",
     "compile_plan",
     "enumerate_embeddings",
-    "enumerate_embeddings_iterative",
     "enumerate_embeddings_recursive",
     "exact_query_key",
     "has_semi_perfect_matching",

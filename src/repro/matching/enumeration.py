@@ -45,7 +45,6 @@ from repro.utils.timing import Deadline
 __all__ = [
     "EnumerationResult",
     "enumerate_embeddings",
-    "enumerate_embeddings_iterative",
     "enumerate_embeddings_recursive",
 ]
 
@@ -274,11 +273,6 @@ def enumerate_embeddings(
     result.recursion_calls = calls
     result.pruned = pruned
     return result
-
-
-#: The kernel under the name the parity suite and bench-micro pair with
-#: :func:`enumerate_embeddings_recursive`.
-enumerate_embeddings_iterative = enumerate_embeddings
 
 
 def enumerate_embeddings_recursive(

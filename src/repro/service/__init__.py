@@ -14,9 +14,7 @@ queries over a socket for the life of the process —
 * :mod:`repro.service.client` — the blocking :class:`ServiceClient`
   library with bounded retry/backoff (and :func:`wait_for_service` for
   scripts and tests);
-* :mod:`repro.service.resilience` — the mutation-retry dedup window;
-* :mod:`repro.service.bench` — the closed-/open-loop load generator
-  behind ``repro bench-serve`` (including the ``--chaos`` suite).
+* :mod:`repro.service.resilience` — the mutation-retry dedup window.
 """
 
 from repro.service.client import (

@@ -55,7 +55,7 @@ pieces, in the order a request meets them:
   as each request completes.
 * **metrics** — per-request records (queue wait, execution time, cache
   outcome, worker pid, batch size) are returned with every response and
-  aggregated into mergeable :class:`~repro.utils.timing.LatencyHistogram`
+  aggregated into :class:`~repro.utils.timing.LatencyHistogram`
   s surfaced by the ``stats`` verb.
 """
 

@@ -15,8 +15,8 @@ partition.
 The class is surface-compatible with :class:`SubgraphQueryEngine` where
 the service and CLI touch it (``query``/``query_many``/``build_index``/
 ``add_graph``/``remove_graph``/``compact_store``/``stats`` accessors /
-``close``), so everything downstream — the NDJSON service, ``bench-serve``,
-the CLI verbs — runs unmodified over 1 or N shards.
+``close``), so everything downstream — the NDJSON service and the CLI
+verbs — runs unmodified over 1 or N shards.
 
 Durable layout under ``store_root``::
 

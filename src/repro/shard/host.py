@@ -353,6 +353,11 @@ class ShardProcessHost:
         process, health = worker.process, worker.health
         if process.proc is not None and not process.alive:
             process.reap(health, kill=False)  # an idle death
+            # It took no exchange with it: unless it opened the shard,
+            # wait its backoff (at most ``health.cap``) out here, as the
+            # pool does in ``collect``, instead of refusing this exchange.
+            if health.allow():
+                time.sleep(max(0.0, health.backoff_until - time.monotonic()))
         # Backoff first: a refusal must not use up the half-open probe.
         if not ((process.alive or health.ready()) and health.allow()):
             raise ShardWorkerError(

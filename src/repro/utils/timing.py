@@ -113,7 +113,7 @@ class Deadline:
 
 
 class LatencyHistogram:
-    """Fixed log-bucket latency histogram with mergeable counts.
+    """Fixed log-bucket latency histogram.
 
     Latencies span four-plus orders of magnitude under load (a cache hit
     is microseconds, a cold CFQL query is seconds), so percentiles are
@@ -124,11 +124,8 @@ class LatencyHistogram:
     plenty for p50/p95/p99 reporting, at a fixed few hundred ints of
     state.
 
-    Two histograms with the same bucket layout :meth:`merge` by adding
-    counts, so per-worker (or per-client-thread) recording stays lock-free
-    and is folded into one distribution at reporting time.  ``to_dict`` /
-    ``from_dict`` round-trip through JSON for the service ``stats`` verb
-    and ``BENCH_serve.json``.
+    ``to_dict`` / ``from_dict`` round-trip through JSON for the service
+    ``stats`` verb.
     """
 
     __slots__ = (
@@ -183,22 +180,6 @@ class LatencyHistogram:
         self.total += value
         if value > self.max_value:
             self.max_value = value
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold another histogram's counts into this one (same layout)."""
-        if (
-            other.min_value != self.min_value
-            or other.growth != self.growth
-            or len(other.counts) != len(self.counts)
-        ):
-            raise ValueError("cannot merge histograms with different bucket layouts")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        if other.max_value > self.max_value:
-            self.max_value = other.max_value
-        return self
 
     # ------------------------------------------------------------------
     # Reporting

@@ -102,12 +102,11 @@ def _answer_lines(out: str) -> list[str]:
 
 class TestJobsValidation:
     @pytest.mark.parametrize("value", ["0", "-3", "nope"])
-    @pytest.mark.parametrize("command", ["query", "reproduce", "bench-micro"])
+    @pytest.mark.parametrize("command", ["query", "reproduce"])
     def test_bad_jobs_rejected_with_clear_error(self, command, value, capsys):
         argv = {
             "query": ["query", "db", "q", "--jobs", value],
             "reproduce": ["reproduce", "table4", "--jobs", value],
-            "bench-micro": ["bench-micro", "--jobs", value],
         }[command]
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -362,11 +361,6 @@ class TestServeParser:
         code = main(["query", str(db_file)])
         assert code == 2
         assert "query file" in capsys.readouterr().err
-
-    def test_bench_serve_parser_defaults(self):
-        args = build_parser().parse_args(["bench-serve"])
-        assert args.output == "BENCH_serve.json"
-        assert args.quick is False
 
 
 class TestServeRoundTrip:

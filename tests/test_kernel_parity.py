@@ -29,7 +29,6 @@ from repro.matching.cfql import CFQLMatcher
 from repro.matching.enumeration import (
     _ENUM_STRIDE,
     enumerate_embeddings,
-    enumerate_embeddings_iterative,
     enumerate_embeddings_recursive,
 )
 from repro.matching.graphql import GraphQLMatcher
@@ -113,7 +112,7 @@ CASES = _random_cases(25, seed=20260806)
 def test_counts_match_reference(case_index):
     query, data, candidates, order, plan = CASES[case_index]
     reference = enumerate_embeddings_recursive(query, data, candidates, order)
-    iterative = enumerate_embeddings_iterative(
+    iterative = enumerate_embeddings(
         query, data, candidates, order, plan=plan
     )
     assert iterative.num_embeddings == reference.num_embeddings
@@ -128,7 +127,7 @@ def test_collected_embeddings_match_reference(case_index):
     reference = enumerate_embeddings_recursive(
         query, data, candidates, order, collect=True
     )
-    iterative = enumerate_embeddings_iterative(
+    iterative = enumerate_embeddings(
         query, data, candidates, order, collect=True, plan=plan
     )
     assert _embedding_set(iterative.embeddings) == _embedding_set(
@@ -148,7 +147,7 @@ def test_limit_early_exit_matches_reference(case_index, limit):
     reference = enumerate_embeddings_recursive(
         query, data, candidates, order, limit=limit, collect=True
     )
-    iterative = enumerate_embeddings_iterative(
+    iterative = enumerate_embeddings(
         query, data, candidates, order, limit=limit, collect=True, plan=plan
     )
     assert iterative.num_embeddings == reference.num_embeddings
@@ -214,7 +213,7 @@ def test_deadline_expiry_raises_in_both_kernels():
             query, data, candidates, order, deadline=Deadline(0.0)
         )
     with pytest.raises(TimeLimitExceeded):
-        enumerate_embeddings_iterative(
+        enumerate_embeddings(
             query, data, candidates, order, deadline=Deadline(0.0), plan=plan
         )
     # ... and within one stride of work: an expired deadline is noticed
@@ -239,7 +238,7 @@ def test_single_vertex_and_empty_orders():
         ref = enumerate_embeddings_recursive(
             single, data, candidates, (0,), limit=limit, collect=True
         )
-        it = enumerate_embeddings_iterative(
+        it = enumerate_embeddings(
             single, data, candidates, (0,), limit=limit, collect=True
         )
         assert it.num_embeddings == ref.num_embeddings
@@ -250,7 +249,7 @@ def test_single_vertex_and_empty_orders():
     ref = enumerate_embeddings_recursive(
         empty, data, CandidateSets.from_bitmaps([]), (), collect=True
     )
-    it = enumerate_embeddings_iterative(
+    it = enumerate_embeddings(
         empty, data, CandidateSets.from_bitmaps([]), (), collect=True
     )
     assert it.num_embeddings == ref.num_embeddings == 1
@@ -264,9 +263,9 @@ def test_iterative_validates_order_like_reference():
     path = Graph.from_edge_list([0, 0, 0, 0], [(0, 1), (1, 2), (2, 3)])
     bad_candidates = CandidateSets.from_bitmaps(ldf_candidate_bits(path, data))
     with pytest.raises(ValueError, match="permutation"):
-        enumerate_embeddings_iterative(path, data, bad_candidates, (0, 0, 1))
+        enumerate_embeddings(path, data, bad_candidates, (0, 0, 1))
     with pytest.raises(ValueError, match="not connected"):
-        enumerate_embeddings_iterative(path, data, bad_candidates, (0, 3, 1, 2))
+        enumerate_embeddings(path, data, bad_candidates, (0, 3, 1, 2))
     with pytest.raises(ValueError, match="not connected"):
         enumerate_embeddings_recursive(path, data, bad_candidates, (0, 3, 1, 2))
 

@@ -16,16 +16,18 @@ import time
 import pytest
 
 from repro.core import create_engine
-from repro.exec import Health, create_executor, faults
+from repro.exec import Health, ParallelExecutor, create_executor, faults
 from repro.graph import Graph, generate_database
 from repro.service.client import (
     ServiceClient,
     ServiceError,
     ServiceUnavailable,
+    wait_for_service,
 )
 from repro.service.protocol import decode_line, encode_message, graph_to_wire
 from repro.service.resilience import MutationDedup
 from repro.service.server import QueryService, ServiceConfig
+from repro.workloads.querysets import generate_query_set
 
 
 def named_square(name: str) -> Graph:
@@ -401,6 +403,74 @@ class TestBreakerIntegration:
         assert breaker["consecutive_failures"] == workers["consecutive_failures"]
         assert breaker["transitions"]["closed->open"] == workers["storm_trips"]
         assert responses.by_id(7)["error"]["code"] == "degraded"
+
+
+class TestChaosUnderLoad:
+    def test_crash_storm_gets_every_request_a_terminal_answer(
+        self, service_db, tmp_path
+    ):
+        """Two clients load a served 2-worker pool whose workers crash on
+        every 6th query: each request gets exactly one terminal response
+        (an answer, a ``crash`` failure, or ``degraded``), the crashes are
+        seen and the workers restarted, and the service still drains."""
+        queries = list(generate_query_set(service_db, 4, False, size=6, seed=5))
+        address = f"unix:{tmp_path / 'serve.sock'}"
+        outcomes: list[list[str]] = [[], []]
+        errors: list[BaseException] = []
+
+        def load(index: int) -> None:
+            try:
+                with ServiceClient(address) as client:
+                    for r in range(15):
+                        query = queries[(index * 3 + r) % len(queries)]
+                        try:
+                            result = client.query(query, time_limit=10.0)
+                        except ServiceError as exc:
+                            outcomes[index].append(exc.code)
+                            continue
+                        failure = result["failure"]
+                        outcomes[index].append(
+                            "answer" if failure is None else failure["kind"]
+                        )
+            except BaseException as exc:  # surfaced after the join
+                errors.append(exc)
+
+        with create_engine(
+            service_db, "CFQL",
+            executor=ParallelExecutor(jobs=2, health=Health(5, 0.25)),
+        ) as engine:
+            engine.build_index()
+            service = QueryService(engine, ServiceConfig(cache_capacity=0))
+            exit_code = []
+            server = threading.Thread(
+                target=lambda: exit_code.append(service.serve(address)),
+                daemon=True,
+            )
+            server.start()
+            try:
+                wait_for_service(address)
+                faults.inject("worker.query", "crash", every=6)
+                clients = [
+                    threading.Thread(target=load, args=(i,), daemon=True)
+                    for i in range(2)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=20.0)
+                with ServiceClient(address) as client:
+                    restarts = client.stats()["workers"]["restarts"]
+                    client.shutdown()
+            finally:
+                service.request_shutdown()
+                server.join(timeout=10.0)
+        assert not errors, errors
+        sent = outcomes[0] + outcomes[1]
+        assert len(sent) == 30
+        assert set(sent) <= {"answer", "crash", "degraded"}, sent
+        assert "crash" in sent
+        assert restarts >= 1
+        assert exit_code == [0]
 
 
 class TestMutationDedupIntegration:

@@ -675,7 +675,7 @@ class TestStats:
         # plan cached for the original.
         assert stats["plan_cache"]["misses"] >= 1
         assert stats["plan_cache"]["hits"] >= 1
-        # The raw histograms round-trip through the mergeable type.
+        # The raw histograms round-trip through LatencyHistogram.
         from repro.utils.timing import LatencyHistogram
 
         hist = LatencyHistogram.from_dict(stats["histograms"]["total"])

@@ -193,33 +193,6 @@ class TestLatencyHistogram:
         assert hist.count == 2
         assert hist.total == 0.5
 
-    def test_merge_equals_single_histogram(self):
-        """Per-thread histograms folded together must be indistinguishable
-        from one histogram that saw every observation."""
-        import random
-
-        rng = random.Random(7)
-        values = [rng.uniform(1e-5, 2.0) for _ in range(500)]
-        combined = self.make(values)
-        part_a = self.make(values[:200])
-        part_b = self.make(values[200:])
-        part_a.merge(part_b)
-        assert part_a.counts == combined.counts
-        assert part_a.count == combined.count
-        assert part_a.total == pytest.approx(combined.total)
-        assert part_a.max_value == combined.max_value
-        for p in (50, 95, 99):
-            assert part_a.percentile(p) == combined.percentile(p)
-
-    def test_merge_rejects_different_layouts(self):
-        from repro.utils.timing import LatencyHistogram
-
-        hist = LatencyHistogram()
-        with pytest.raises(ValueError):
-            hist.merge(LatencyHistogram(growth=2.0))
-        with pytest.raises(ValueError):
-            hist.merge(LatencyHistogram(num_buckets=16))
-
     def test_dict_round_trip(self):
         import json
 
